@@ -44,7 +44,7 @@ from .errors import (
     TruncationValidityError,
     UnsupportedRegionError,
 )
-from .zetacore import DEFAULT_PRECISION, Precision, _hurwitz_scalar, hurwitz_line_batch
+from .zetacore import DEFAULT_PRECISION, Precision, _hurwitz_scalar, _phase_sum, hurwitz_line_batch
 
 __all__ = [
     "MAX_RANK",
@@ -541,12 +541,7 @@ def barnes_truncated_line(
         _check_profile_match(profile, a, w, x)
     logv = np.log(profile.values)
     amp = profile.counts.astype(float) * np.exp(-sigma * logv)
-    out = np.empty(ts.size, dtype=complex)
-    chunk = max(1, 4_000_000 // max(logv.size, 1))
-    for lo in range(0, ts.size, chunk):
-        hi = min(ts.size, lo + chunk)
-        phases = np.exp((-1j) * np.multiply.outer(ts[lo:hi], logv))
-        out[lo:hi] = (phases * amp).sum(axis=1)
+    out = _phase_sum(logv, [amp], ts)[0]
     s_arr = sigma + 1j * ts
     out += _boundary_corrections(s_arr, a, w, x)
     err = x ** (r - 1 - sigma)

@@ -49,6 +49,7 @@ from .verify import (
     coefficient_identity_suite,
     comparability,
     default_verification_suites,
+    envelope_suites,
     functional_equation_suite,
     mv_suite,
     oscillatory_suite,
@@ -212,6 +213,12 @@ def cmd_meansquare(ns, argv: Sequence[str]) -> int:
     rows = [measurement_row(req, T_eff, res) for T_eff, res in measured]
     write_measurements_csv(ns.out, rows)
     outputs = [ns.out]
+    warned = []
+    for T_eff, res in measured:
+        if res.accuracy_warning:
+            warned.append(T_eff)
+            print(f"warning: T={T_eff!r}: Richardson estimate {res.richardson_err:.3g} "
+                  f"exceeds 1% of the mean square {res.value:.6g}", file=sys.stderr)
 
     if pred is not None:
         report = residual_report(measured, pred)
@@ -250,6 +257,7 @@ def cmd_meansquare(ns, argv: Sequence[str]) -> int:
         "predict": ns.predict,
     }
     extra = {
+        "accuracy_warnings": warned,
         "command_line": " ".join(argv),
         "outputs": outputs,
         "timing_wall_seconds": time.perf_counter() - t0,
@@ -266,7 +274,7 @@ def cmd_meansquare(ns, argv: Sequence[str]) -> int:
 def _run_suites(ns, out_dir: str):
     seeds = range(20) if ns.seed is None else (ns.seed,)
     if ns.suite == "envelopes":
-        return default_verification_suites(out_dir)[:5]
+        return envelope_suites(out_dir)
     if ns.suite == "mv":
         return [mv_suite(seeds=seeds, out_dir=out_dir)]
     if ns.suite == "comparability":

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -179,7 +179,6 @@ class MeanSquareResult:
     samples: int
     T_effective: float
     accuracy_warning: bool = False
-    wall_notes: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -238,27 +237,12 @@ def mean_square(
     prec: Precision = DEFAULT_PRECISION,
     integrand: Optional[IntegrandHook] = None,
 ) -> MeanSquareResult:
-    """integral_1^T |f(sigma+it)|^2 dt by composite Simpson on the fixed grid.
+    """integral_1^T |f(sigma+it)|^2 dt: the single-T case of `mean_square_grid`.
 
     ``integrand`` is a test hook mapping the node array to real values,
     bypassing the kind-selected evaluator.
     """
-    ts, h, t_eff = simpson_nodes(req.T, req.a, req.step_fixed)
-    if integrand is not None:
-        fvals = np.asarray(integrand(ts), dtype=float)
-    else:
-        line = _line_values(req, ts, prec)
-        fvals = np.abs(line) ** 2
-    value, rich = _integrate_with_richardson(fvals, h, ts.size - 1)
-    warn = rich > 0.01 * abs(value) if value != 0.0 else rich > 0.0
-    return MeanSquareResult(
-        value=value,
-        step=h,
-        richardson_err=rich,
-        samples=ts.size,
-        T_effective=t_eff,
-        accuracy_warning=bool(warn),
-    )
+    return mean_square_grid(req, [req.T], prec, integrand)[0][1]
 
 
 def mean_square_grid(
@@ -276,10 +260,7 @@ def mean_square_grid(
     if not T_values:
         raise DomainError("T_values must be nonempty")
     t_sorted = sorted(float(T) for T in T_values)
-    top = MeanSquareRequest(
-        kind=req.kind, sigma=req.sigma, a=req.a, T=t_sorted[-1], lam=req.lam,
-        r=req.r, w=req.w, step_fixed=req.step_fixed, t_cap=req.t_cap,
-    )
+    top = replace(req, T=t_sorted[-1])
     ts, h, _ = simpson_nodes(top.T, top.a, top.step_fixed)
     if integrand is not None:
         fvals = np.asarray(integrand(ts), dtype=float)
@@ -290,19 +271,11 @@ def mean_square_grid(
         k = min(_interval_count(T, h), ts.size - 1)
         value, rich = _integrate_with_richardson(fvals, h, k)
         warn = rich > 0.01 * abs(value) if value != 0.0 else rich > 0.0
-        out.append(
-            (
-                1.0 + h * k,
-                MeanSquareResult(
-                    value=value,
-                    step=h,
-                    richardson_err=rich,
-                    samples=k + 1,
-                    T_effective=1.0 + h * k,
-                    accuracy_warning=bool(warn),
-                ),
-            )
-        )
+        t_eff = 1.0 + h * k
+        out.append((t_eff, MeanSquareResult(
+            value=value, step=h, richardson_err=rich, samples=k + 1,
+            T_effective=t_eff, accuracy_warning=bool(warn),
+        )))
     return out
 
 

@@ -61,6 +61,7 @@ __all__ = [
     "coefficient_identity_suite",
     "functional_equation_suite",
     "default_verification_suites",
+    "envelope_suites",
 ]
 
 
@@ -673,10 +674,9 @@ def functional_equation_suite(
 # default bundle
 
 
-def default_verification_suites(out_dir: Optional[str] = None) -> List[VerdictRecord]:
-    """The standard sweep bundle: envelopes, bilinear inequality,
-    comparability, oscillatory boundedness."""
-    records = [
+def envelope_suites(out_dir: Optional[str] = None) -> List[VerdictRecord]:
+    """The five growth-envelope sweeps of the standard bundle."""
+    return [
         envelope_hurwitz(
             1.0, (-1.0, -0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0), 2000.0,
             out_dir=out_dir,
@@ -696,8 +696,14 @@ def default_verification_suites(out_dir: Optional[str] = None) -> List[VerdictRe
             2, 1.0, "weights", (1.25, 1.5, 1.75), 500.0, w=(1.0, math.sqrt(2.0)),
             out_dir=out_dir,
         ),
+    ]
+
+
+def default_verification_suites(out_dir: Optional[str] = None) -> List[VerdictRecord]:
+    """The standard sweep bundle: envelopes, bilinear inequality,
+    comparability, oscillatory boundedness."""
+    return envelope_suites(out_dir) + [
         mv_suite(out_dir=out_dir),
         comparability(2, 1.0, (1.0, 2.0), 1.5, out_dir=out_dir),
         oscillatory_suite(out_dir=out_dir),
     ]
-    return records

@@ -22,11 +22,13 @@ which inherits the full analytic continuation; irrational ``lambda`` is
 summed directly (absolutely convergent region only) with an Abel-summation
 tail bound.
 
-Vertical-line batches (`hurwitz_line`, `hurwitz_line_batch`) share one phase
-matrix ``exp(-i*t*log(m+a))`` across all requested real parts, which is what
-makes the mean-square integrals over tens of thousands of nodes affordable.
-All reductions use numpy pairwise summation in a fixed order, so repeated
-runs are bit-identical.
+Vertical-line batches (`hurwitz_line`, `hurwitz_line_batch`) share the phases
+``exp(-i*t*log(m+a))`` across all requested real parts.  On an exactly evenly
+spaced t-grid (the Simpson grids of the mean squares) each phase is an anchor
+row times an offset row, ``exp(-i t_qR log v) * exp(-i j h log v)``, so only
+about 2 sqrt(nodes) rows pay an ``exp``; any other grid uses the direct phase
+matrix.  All reductions are numpy pairwise sums in a fixed order, with no BLAS,
+so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -110,6 +112,35 @@ def _shift_count(prec: Precision, t_scale: float) -> int:
     return max(4, int(math.ceil(prec.shift_count_factor * (t_scale + 10.0))))
 
 
+def _phase_sum(logv: np.ndarray, amps, ts: np.ndarray) -> np.ndarray:
+    """Rows sum_m amps[i, m] exp(-i t logv[m]) for every ordinate t in ts.
+
+    On an exactly arithmetic grid ts[k] = ts[0] + k h (nt >= 3) each phase
+    is factored around the anchor ts[q R], R = isqrt(nt) capped so the R
+    offset rows fit one chunk: exp(-i ts[q R + j] logv) = exp(-i ts[q R] logv)
+    * exp(-i j h logv); only anchor and offset rows pay an exp.  Other grids
+    take R = 1, the direct phase matrix.  Rows are pairwise sums in fixed order.
+    """
+    nt, R, width = ts.size, 1, max(logv.size, 1)
+    if nt >= 3:
+        h = ts[1] - ts[0]
+        if h != 0 and np.array_equal(ts, ts[0] + h * np.arange(nt)):
+            R = max(1, min(math.isqrt(nt), _CHUNK_ELEMS // width))
+            offsets = np.exp((-1j) * np.multiply.outer(h * np.arange(R), logv))
+    out = np.empty((len(amps), nt), dtype=complex)
+    rows = max(R, _CHUNK_ELEMS // width // R * R)
+    for lo in range(0, nt, rows):
+        hi = min(nt, lo + rows)
+        phases = np.exp((-1j) * np.multiply.outer(ts[lo:hi:R], logv))
+        for i, amp in enumerate(amps):
+            if R == 1:
+                out[i, lo:hi] = (phases * amp).sum(axis=1)
+            else:
+                for k, anchor in zip(range(lo, hi, R), phases):
+                    out[i, k : k + R] = ((anchor * amp) * offsets[: hi - k]).sum(axis=1)
+    return out
+
+
 def _em_kernel(
     sigmas: Sequence[float],
     a: float,
@@ -126,57 +157,44 @@ def _em_kernel(
     (deeply negative sigma at small |t|) and zeros of the function.
     """
     ts = np.asarray(ts, dtype=float)
-    S = len(sigmas)
-    nt = ts.size
     N = n_terms
     depth = prec.em_depth
 
-    m = np.arange(N, dtype=float)
-    base = m + a
+    base = np.arange(N, dtype=float) + a
     logv = np.log(base)
     z = N + a
     logz = math.log(z)
 
-    amps = [np.power(base, -sig) for sig in sigmas]
-    out = np.empty((S, nt), dtype=complex)
-    errs = np.zeros(S)
-    cancels = np.zeros(S)
-
-    chunk = max(1, _CHUNK_ELEMS // max(N, 1))
-    for lo in range(0, nt, chunk):
-        hi = min(nt, lo + chunk)
-        tc = ts[lo:hi]
-        phases = np.exp((-1j) * np.multiply.outer(tc, logv))
-        for i, sig in enumerate(sigmas):
-            s = sig + 1j * tc
-            if np.any(np.abs(s - 1.0) < _POLE_GUARD):
-                raise PoleError(
-                    f"zeta_H pole guard: s within {_POLE_GUARD} of 1 "
-                    f"(sigma={sig})",
-                    distance=float(np.min(np.abs(s - 1.0))),
-                )
-            main = (phases * amps[i]).sum(axis=1)
-            val = main + np.exp((1.0 - s) * logz) / (s - 1.0)
-            val += 0.5 * np.exp(-s * logz)
-            poch = s.astype(complex)
-            zpow = np.exp(-(s + 1.0) * logz)
-            invz2 = z ** -2.0
-            for k in range(1, depth + 1):
-                val += (_BERN_FAC[k] * zpow) * poch
-                poch = poch * ((s + (2 * k - 1)) * (s + 2 * k))
-                zpow = zpow * invz2
-            out[i, lo:hi] = val
-            omitted = _BERN_FAC[depth + 1] * np.abs(poch) * (
-                z ** (-sig - 2 * depth - 1)
+    out = _phase_sum(logv, [np.power(base, -sig) for sig in sigmas], ts)
+    errs = np.zeros(len(sigmas))
+    cancels = np.zeros(len(sigmas))
+    for i, sig in enumerate(sigmas):
+        s = sig + 1j * ts
+        if np.any(np.abs(s - 1.0) < _POLE_GUARD):
+            raise PoleError(
+                f"zeta_H pole guard: s within {_POLE_GUARD} of 1 "
+                f"(sigma={sig})",
+                distance=float(np.min(np.abs(s - 1.0))),
             )
-            top = max(a ** (-sig), z ** (-sig))
-            rounding = 1e-16 * math.log2(N + 2.0) * top
-            scale = np.maximum(np.abs(val), z ** (-sig))
-            mag = np.maximum(np.abs(val), 1e-300)
-            errs[i] = max(
-                errs[i], float(np.max((omitted + rounding) / scale))
-            )
-            cancels[i] = max(cancels[i], float(np.max(rounding / mag)))
+        val = out[i]
+        val += np.exp((1.0 - s) * logz) / (s - 1.0)
+        val += 0.5 * np.exp(-s * logz)
+        poch = s.astype(complex)
+        zpow = np.exp(-(s + 1.0) * logz)
+        invz2 = z ** -2.0
+        for k in range(1, depth + 1):
+            val += (_BERN_FAC[k] * zpow) * poch
+            poch = poch * ((s + (2 * k - 1)) * (s + 2 * k))
+            zpow = zpow * invz2
+        omitted = _BERN_FAC[depth + 1] * np.abs(poch) * (
+            z ** (-sig - 2 * depth - 1)
+        )
+        top = max(a ** (-sig), z ** (-sig))
+        rounding = 1e-16 * math.log2(N + 2.0) * top
+        scale = np.maximum(np.abs(val), z ** (-sig))
+        mag = np.maximum(np.abs(val), 1e-300)
+        errs[i] = float(np.max((omitted + rounding) / scale))
+        cancels[i] = float(np.max(rounding / mag))
     return out, errs, cancels
 
 

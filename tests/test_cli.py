@@ -6,10 +6,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import zetaline.cli
+import zetaline.verify
 from zetaline.cli import main
+from zetaline.meanvalue import mean_square_grid
 from zetaline.verify import oscillatory_suite
 from zetaline.zetacore import lerch_zeta_bounded, riemann_zeta
 
@@ -133,6 +136,27 @@ def test_meansquare_rerun_byte_identical(capsys, tmp_path):
     assert open(out1, "rb").read() == open(out2, "rb").read()
 
 
+def test_meansquare_reports_accuracy_warnings(capsys, tmp_path, monkeypatch):
+    args = ["meansquare", "--kind", "hurwitz", "--sigma", "0.5", "--a", "1",
+            "--T-grid", "50,100"]
+    out = str(tmp_path / "plain.csv")
+    _, _, err = run_cli(capsys, *args, "--out", out)
+    assert json.load(open(out + ".manifest.json"))["accuracy_warnings"] == []
+    assert err == ""
+    # an integrand the Simpson step cannot resolve makes Richardson warn
+    monkeypatch.setattr(zetaline.cli, "mean_square_grid", functools.partial(
+        mean_square_grid, integrand=lambda ts: np.cos(30.0 * ts)))
+    out = str(tmp_path / "rough.csv")
+    code, _, err = run_cli(capsys, *args, "--out", out)
+    assert code == 0
+    warned = json.load(open(out + ".manifest.json"))["accuracy_warnings"]
+    csv_T = [float(line.split(",")[0]) for line in open(out).read().splitlines()[1:]]
+    assert warned and set(warned) <= set(csv_T)
+    lines = err.splitlines()
+    assert len(lines) == len(warned)
+    assert all(line.startswith(f"warning: T={T!r}: ") for line, T in zip(lines, warned))
+
+
 def test_verify_coefficients_suite(capsys, tmp_path):
     out = str(tmp_path / "v")
     code, stdout, _ = run_cli(capsys, "verify", "--suite", "coefficients",
@@ -165,6 +189,21 @@ def test_verify_mv_seed_deterministic(capsys, tmp_path):
         b1 = open(os.path.join(d1, name), "rb").read()
         b2 = open(os.path.join(d2, name), "rb").read()
         assert b1 == b2
+
+
+def test_verify_envelopes_writes_only_listed_files(capsys, tmp_path, monkeypatch):
+    # the file list does not depend on the sweep length; shorten the sweeps
+    t_nodes = zetaline.verify._t_nodes
+    monkeypatch.setattr(zetaline.verify, "_t_nodes",
+                        lambda t_max, per_octave=64: t_nodes(min(t_max, 40.0), per_octave))
+    code, stdout, _ = run_cli(capsys, "verify", "--suite", "envelopes",
+                              "--out", str(tmp_path))
+    assert code == 0
+    assert len(stdout.splitlines()) == 5
+    manifest = "verify_envelopes.manifest.json"
+    listed = json.load(open(tmp_path / manifest))["outputs"]
+    assert len(listed) == 10
+    assert sorted(os.listdir(tmp_path)) == sorted(listed + [manifest])
 
 
 def test_verify_failing_suite_exits_one(capsys, tmp_path, monkeypatch):

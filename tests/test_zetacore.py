@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -17,12 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetaline import zetacore as zc
+from zetaline.barnes import multi_hurwitz_line
 from zetaline.errors import (
     AccuracyError,
     DomainError,
     PoleError,
     UnsupportedRegionError,
 )
+from zetaline.meanvalue import simpson_nodes
 
 EULER = 0.57721566490153286
 
@@ -106,6 +111,66 @@ def test_line_reruns_are_bit_identical():
     r1 = zc.hurwitz_line(0.5, 1.0, ts)
     r2 = zc.hurwitz_line(0.5, 1.0, ts)
     assert r1.tobytes() == r2.tobytes()
+
+
+_SIMPSON_LINE_SCRIPT = (
+    "import sys\n"
+    "from zetaline.meanvalue import simpson_nodes\n"
+    "from zetaline.zetacore import hurwitz_line\n"
+    "ts = simpson_nodes(1000.0, 1.0)[0]\n"
+    "sys.stdout.buffer.write(hurwitz_line(0.5, 1.0, ts).tobytes())\n"
+)
+
+
+def test_factored_line_reruns_are_bit_identical():
+    # the Simpson grid is exactly arithmetic, so it takes the factored phase
+    # path; that path uses no BLAS, so its bits do not depend on the number
+    # of threads a BLAS library would use
+    ts = simpson_nodes(1000.0, 1.0)[0]
+    assert np.array_equal(ts, ts[0] + (ts[1] - ts[0]) * np.arange(ts.size))
+    r1 = zc.hurwitz_line(0.5, 1.0, ts)
+    assert zc.hurwitz_line(0.5, 1.0, ts).tobytes() == r1.tobytes()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(zc.__file__)))
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _SIMPSON_LINE_SCRIPT],
+                              env=env, capture_output=True, check=True)
+        assert proc.stdout == r1.tobytes()
+
+
+@pytest.mark.parametrize(
+    "line",
+    [lambda ts: zc.hurwitz_line(0.5, 0.5, ts),
+     lambda ts: multi_hurwitz_line(1.5, 0.5, 2, ts)],
+    ids=["hurwitz", "multi_r2"],
+)
+def test_factored_phases_match_direct_path(line):
+    ts = simpson_nodes(1000.0, 0.5)[0]
+    # the same nodes in an order that is not arithmetic take the direct path
+    order = np.roll(np.arange(ts.size), 1)
+    direct = np.empty(ts.size, dtype=complex)
+    direct[order] = line(ts[order])
+    factored = line(ts)
+    # both paths round each phase argument t log(m+a) ~ 7e3 to its own ulp
+    # (9e-13), so they differ by up to ~3e-13 of max |value| here; that is
+    # the direct path's own error against mpmath, not the factored one's
+    assert np.max(np.abs(factored - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+def test_factored_line_matches_mpmath_near_t_1000():
+    mpmath = pytest.importorskip("mpmath")
+    sigma, a = 0.5, 0.5
+    ts = simpson_nodes(1000.0, a)[0][-20:]
+    n = zc._shift_count(zc.DEFAULT_PRECISION, float(ts[-1]))
+    got = zc.hurwitz_line(sigma, a, ts)
+    tol = 64.0 * zc.DEFAULT_PRECISION.rel_tol
+    with mpmath.workdps(30):
+        for t, value in zip(ts, got):
+            ref = complex(mpmath.zeta(mpmath.mpc(sigma, float(t)), a))
+            # the line kernel states its error against this scale
+            scale = max(abs(ref), (n + a) ** -sigma)
+            assert abs(value - ref) <= tol * scale, t
 
 
 # ---------------------------------------------------------------------------
