@@ -2,14 +2,17 @@
 
 Two families are implemented.
 
-* ``multi_hurwitz``: the equal-weight multiple sum
-  ``zeta_r(s, a) = sum_{m1..mr>=0} (a + m1 + ... + mr)^(-s)``, collapsed
-  exactly through the binomial lattice count to
+* ``multi_hurwitz_bounded`` / ``multi_hurwitz_line``: the equal-weight
+  multiple sum ``zeta_r(s, a) = sum_{m1..mr>=0} (a + m1 + ... + mr)^(-s)``,
+  collapsed exactly through the binomial lattice count to
   ``sum_{j<r} p_{r,j}(a) zeta_H(s - j, a)`` with the reduction coefficients
   from :mod:`zetaline.combinatorics`.  This form inherits the full analytic
-  continuation of the Hurwitz zeta (poles at s = 1, ..., r).
+  continuation of the Hurwitz zeta (poles at s = 1, ..., r; ``_check_pole`` is
+  the one rank-r guard, shared with the truncated line).  The scalar sums
+  gated ``hurwitz_zeta_bounded`` terms, so its bound is
+  ``sum_j |p_{r,j}| err_j``; ``multi_hurwitz`` is its value.
 
-* ``barnes_direct`` / ``barnes_truncated``: general positive weights ``w``.
+* ``barnes_direct`` / ``barnes_truncated_line``: general positive weights ``w``.
   The direct evaluator needs ``Re s > r + 0.1`` and collapses the lattice one
   coordinate at a time: level j holds an asymptotic expansion
   ``F_j(y) ~ sum_c coef_c y^(-(s+c))`` composed through Euler-Maclaurin, the
@@ -22,7 +25,8 @@ Two families are implemented.
         / ((s-1)...(s-r) w_1...w_r),
 
   which approximates the full sum with error O(x^(r-1-Re s)) as long as
-  ``|t| <= 2*pi*x / c_factor`` (the policy window).
+  ``|t| <= 2*pi*x / c_factor`` (the policy window).  The scalar
+  ``barnes_truncated`` is the one-point line.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 import cmath
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -44,7 +48,14 @@ from .errors import (
     TruncationValidityError,
     UnsupportedRegionError,
 )
-from .zetacore import DEFAULT_PRECISION, Precision, _hurwitz_scalar, _phase_sum, hurwitz_line_batch
+from .zetacore import (
+    DEFAULT_PRECISION,
+    Precision,
+    _hurwitz_scalar,
+    _phase_sum,
+    hurwitz_line_batch,
+    hurwitz_zeta_bounded,
+)
 
 __all__ = [
     "MAX_RANK",
@@ -54,6 +65,7 @@ __all__ = [
     "save_profile",
     "load_profile",
     "multi_hurwitz",
+    "multi_hurwitz_bounded",
     "multi_hurwitz_line",
     "barnes_direct",
     "barnes_truncated",
@@ -76,12 +88,16 @@ def _check_weights(w: Sequence[float]) -> Tuple[float, ...]:
     return w
 
 
-def _check_pole(s: complex, r: int) -> None:
+def _check_pole(sigma: float, ts: np.ndarray, r: int) -> None:
+    """PoleError when a node sigma + i t lies within _POLE_GUARD of some k in 1..r."""
+    if not ts.size:
+        return
+    t_min = float(np.min(np.abs(ts)))
     for k in range(1, r + 1):
-        if abs(s - k) < _POLE_GUARD:
+        distance = abs(complex(sigma - k, t_min))
+        if distance < _POLE_GUARD:
             raise PoleError(
-                f"rank-{r} multiple zeta has a pole at s = {k}",
-                distance=abs(s - k),
+                f"rank-{r} multiple zeta has a pole at s = {k}", distance=distance
             )
 
 
@@ -89,24 +105,36 @@ def _check_pole(s: complex, r: int) -> None:
 # equal weights: exact binomial collapse
 
 
-def multi_hurwitz(
+def multi_hurwitz_bounded(
     s: complex, a: float, r: int, prec: Precision = DEFAULT_PRECISION
-) -> complex:
-    """zeta_r(s, a) = sum_{j=0}^{r-1} p_{r,j}(a) zeta_H(s - j, a)."""
+) -> Tuple[complex, float]:
+    """zeta_r(s, a) = sum_{j=0}^{r-1} p_{r,j}(a) zeta_H(s - j, a), with its bound.
+
+    A fixed linear combination of Hurwitz values, so the bound is the same
+    combination of their bounds, sum_j |p_{r,j}| err_j.  Each term is a gated
+    `hurwitz_zeta_bounded` call: DomainError and AccuracyError pass through.
+    """
     s = complex(s)
-    if a <= 0:
-        raise DomainError(f"multi_hurwitz needs a > 0, got a={a}")
     if not (1 <= r <= MAX_RANK):
         raise DomainError(f"multi_hurwitz supports rank 1..{MAX_RANK}, got {r}")
-    _check_pole(s, r)
-    table = reduction_coefficients(r, a)
-    total = 0.0 + 0.0j
-    for j, coef in enumerate(table.coeffs):
+    _check_pole(s.real, np.array([s.imag]), r)
+    total = None
+    err = 0.0
+    for j, coef in enumerate(reduction_coefficients(r, a).coeffs):
         cf = float(coef)
         if cf == 0.0:
             continue
-        total += cf * _hurwitz_scalar(s - j, a, prec)[0]
-    return total
+        val, bound = hurwitz_zeta_bounded(s - j, a, prec)
+        total = cf * val if total is None else total + cf * val
+        err += abs(cf) * bound
+    return total, err  # p_{r,r-1} = 1/(r-1)! never vanishes
+
+
+def multi_hurwitz(
+    s: complex, a: float, r: int, prec: Precision = DEFAULT_PRECISION
+) -> complex:
+    """zeta_r(s, a): the value of `multi_hurwitz_bounded`."""
+    return multi_hurwitz_bounded(s, a, r, prec)[0]
 
 
 def multi_hurwitz_line(
@@ -123,13 +151,7 @@ def multi_hurwitz_line(
     if not (1 <= r <= MAX_RANK):
         raise DomainError(f"multi_hurwitz_line supports rank 1..{MAX_RANK}, got {r}")
     ts = np.asarray(ts, dtype=float)
-    if ts.size and float(np.min(np.abs(ts))) < _POLE_GUARD * 2:
-        for k in range(1, r + 1):
-            if abs(sigma - k) < _POLE_GUARD:
-                raise PoleError(
-                    f"rank-{r} multiple zeta has a pole at s = {k}",
-                    distance=abs(sigma - k),
-                )
+    _check_pole(sigma, ts, r)
     table = reduction_coefficients(r, a)
     coefs = [float(c) for c in table.coeffs]
     rows = hurwitz_line_batch(
@@ -474,25 +496,15 @@ def barnes_truncated(
     policy: TruncationPolicy | None = None,
     profile: LatticeProfile | None = None,
 ) -> Tuple[complex, float]:
-    """Box sum to floor(x) plus boundary corrections; error scale x^(r-1-sigma)."""
+    """Box sum to floor(x) plus boundary corrections; error scale x^(r-1-sigma).
+
+    The one-point case of `barnes_truncated_line`.
+    """
     s = complex(s)
-    w = _check_weights(w)
-    r = len(w)
-    if policy is None:
-        policy = TruncationPolicy()
-    _check_pole(s, r)
-    _check_truncation_window(policy, x, s.imag)
-    if profile is None:
-        profile = build_lattice_profile(a, w, x)
-    else:
-        _check_profile_match(profile, a, w, x)
-    logv = np.log(profile.values)
-    weights = profile.counts.astype(float)
-    terms = weights * np.exp((-s) * logv)
-    box = complex(terms.sum())
-    corr = _boundary_corrections(np.array([s], dtype=complex), a, w, x)[0]
-    err = x ** (r - 1 - s.real)
-    return box + corr, err
+    vals, err = barnes_truncated_line(
+        s.real, a, w, np.array([s.imag]), x, policy, profile
+    )
+    return complex(vals[0]), err
 
 
 def _check_profile_match(
@@ -532,9 +544,7 @@ def barnes_truncated_line(
     if x is None:
         x = policy.x_for(t_max)
     _check_truncation_window(policy, x, t_max)
-    for k in range(1, r + 1):
-        if abs(sigma - k) < _POLE_GUARD and (ts.size and np.min(np.abs(ts)) < 1e-6):
-            raise PoleError(f"pole at s = {k}", distance=abs(sigma - k))
+    _check_pole(sigma, ts, r)
     if profile is None:
         profile = build_lattice_profile(a, w, x)
     else:

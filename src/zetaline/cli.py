@@ -26,8 +26,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import __version__
-from .barnes import MAX_RANK, TruncationPolicy, barnes_direct, barnes_truncated
-from .combinatorics import reduction_coefficients
+from .barnes import TruncationPolicy, barnes_direct, barnes_truncated, multi_hurwitz_bounded
 from .errors import (
     AccuracyError,
     DomainError,
@@ -103,28 +102,6 @@ def _precision(ns) -> Precision:
 # eval
 
 
-def _eval_multi_bounded(
-    s: complex, a: float, r: int, prec: Precision
-) -> Tuple[complex, float]:
-    # rank reduction: value is a fixed linear combination of single zetas,
-    # so the error bound is the same combination of their bounds
-    if not (1 <= r <= MAX_RANK):
-        raise DomainError(f"--kind multi supports --r 1..{MAX_RANK}, got {r}")
-    table = reduction_coefficients(r, a)
-    total: Optional[complex] = None
-    err = 0.0
-    for j, coef in enumerate(table.coeffs):
-        cf = float(coef)
-        if cf == 0.0:
-            continue
-        val, bound = hurwitz_zeta_bounded(s - j, a, prec)
-        term = cf * val
-        total = term if total is None else total + term
-        err += abs(cf) * bound
-    assert total is not None  # p_{r,r-1} never vanishes
-    return total, err
-
-
 def _eval_barnes_bounded(
     s: complex, a: float, w: Sequence[float], prec: Precision
 ) -> Tuple[complex, float]:
@@ -151,7 +128,7 @@ def cmd_eval(ns, argv: Sequence[str]) -> int:
     elif ns.kind == "multi":
         if ns.r is None:
             raise DomainError("--kind multi needs --r")
-        val, err = _eval_multi_bounded(s, ns.a, ns.r, prec)
+        val, err = multi_hurwitz_bounded(s, ns.a, ns.r, prec)
     else:
         if ns.w is None:
             raise DomainError("--kind barnes needs --w")
@@ -230,16 +207,7 @@ def cmd_meansquare(ns, argv: Sequence[str]) -> int:
                 "error_exponent": pred.error_exponent,
                 "error_log": pred.error_log,
             },
-            "report": {
-                "T_values": list(report.T_values),
-                "ratios": list(report.ratios),
-                "residuals": list(report.residuals),
-                "fitted_exponent": report.fitted_exponent,
-                "fitted_constant": report.fitted_constant,
-                "monotone_ok": report.monotone_ok,
-                "exponent_ok": report.exponent_ok,
-                "passed": report.passed,
-            },
+            "report": report.to_json_dict(),
         }
         with open(report_path, "w", newline="") as fh:
             fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -331,8 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--threads", type=int, default=1,
-                       help="cap on worker threads; results are identical for any value")
         p.add_argument("--rel-tol", type=float, default=None,
                        help="target relative tolerance for evaluations")
 

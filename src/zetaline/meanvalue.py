@@ -29,10 +29,8 @@ import numpy as np
 
 from . import __version__
 from .barnes import (
-    LatticeProfile,
-    TruncationPolicy,
     barnes_truncated_line,
-    build_lattice_profile,
+    build_lattice_profile,  # unused here; benchmarks/tracing.py patches it at this name
     multi_hurwitz_line,
 )
 from .combinatorics import reduction_coefficients
@@ -41,6 +39,8 @@ from .zetacore import (
     DEFAULT_PRECISION,
     Precision,
     _hurwitz_scalar,
+    _rational_twist,
+    _twist_terms,
     gen_euler_constant,
     hurwitz_line,
     hurwitz_line_batch,
@@ -193,25 +193,19 @@ def _lerch_line(
     prec: Precision,
 ) -> np.ndarray:
     """zeta_L(sigma+it, a, lam) on a grid; rational lam only (q-fold batch)."""
-    if isinstance(lam, (int, Fraction)) and not isinstance(lam, bool):
-        fr = Fraction(lam) - math.floor(Fraction(lam))
-    elif float(lam) == round(float(lam)):
-        fr = Fraction(0)
-    else:
+    fr = _rational_twist(lam)
+    if fr is None:
         raise UnsupportedRegionError(
             "line evaluation of the twisted series needs rational lam "
             "(pass a Fraction)"
         )
     if fr == 0:
         return hurwitz_line(sigma, a, ts, prec)
-    q, p = fr.denominator, fr.numerator
-    if q > 64:
-        raise DomainError(f"lerch line evaluation limited to denominators <= 64, got {q}")
     total = np.zeros(ts.size, dtype=complex)
-    for j in range(q):
-        root = complex(np.exp(2j * np.pi * ((j * p) % q) / q))
-        total += root * hurwitz_line(sigma, (j + a) / q, ts, prec)
+    for root, shifted in _twist_terms(a, fr):
+        total += root * hurwitz_line(sigma, shifted, ts, prec)
     # q^(-s) = q^(-sigma) e^(-i t log q)
+    q = fr.denominator
     total *= q ** (-sigma) * np.exp((-1j * math.log(q)) * ts)
     return total
 
@@ -482,8 +476,6 @@ class ResidualReport:
             "residuals": list(self.residuals),
             "fitted_exponent": self.fitted_exponent,
             "fitted_constant": self.fitted_constant,
-            "error_exponent": self.error_exponent,
-            "error_log": self.error_log,
             "monotone_ok": self.monotone_ok,
             "exponent_ok": self.exponent_ok,
             "passed": self.passed,

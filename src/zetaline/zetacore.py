@@ -20,7 +20,9 @@ is evaluated for rational ``lambda = p/q`` by the exact q-fold reduction
 
 which inherits the full analytic continuation; irrational ``lambda`` is
 summed directly (absolutely convergent region only) with an Abel-summation
-tail bound.
+tail bound.  ``_rational_twist`` is the one parser of ``lambda`` (and of the
+periodic zeta's ``x``) and holds the one denominator cap, q <= 1024, for
+values and vertical lines alike; ``_twist_terms`` yields the q reduction pairs.
 
 Vertical-line batches (`hurwitz_line`, `hurwitz_line_batch`) share the phases
 ``exp(-i*t*log(m+a))`` across all requested real parts.  On an exactly evenly
@@ -356,9 +358,35 @@ def hurwitz_finite_approx(
 # Lerch zeta
 
 
-def _as_unit_fraction(lam: Fraction) -> Fraction:
-    fr = lam - math.floor(lam)
-    return Fraction(fr)
+_MAX_TWIST_DENOMINATOR = 1024
+
+
+def _rational_twist(lam: LambdaLike) -> Fraction | None:
+    """lambda mod 1 as a Fraction, or None for a float that is not an integer.
+
+    Ints and Fractions are exact; a float counts as rational only within
+    1e-15 of an integer.  Denominators past _MAX_TWIST_DENOMINATOR raise
+    ResourceBudgetError, since the q-fold reduction costs q Hurwitz values.
+    """
+    if isinstance(lam, (int, Fraction)) and not isinstance(lam, bool):
+        fr = Fraction(lam) % 1
+    elif abs(float(lam) - round(float(lam))) < 1e-15:
+        fr = Fraction(0)
+    else:
+        return None
+    if fr.denominator > _MAX_TWIST_DENOMINATOR:
+        raise ResourceBudgetError(
+            f"rational twist reduction limited to denominators <= "
+            f"{_MAX_TWIST_DENOMINATOR}, got {fr.denominator}"
+        )
+    return fr
+
+
+def _twist_terms(a: float, fr: Fraction):
+    """Pairs (e(j p/q), (j + a)/q), j = 0..q-1, of the q-fold reduction at p/q."""
+    q, p = fr.denominator, fr.numerator
+    for j in range(q):
+        yield cmath.exp(2j * math.pi * ((j * p) % q) / q), (j + a) / q
 
 
 def lerch_zeta_bounded(
@@ -378,28 +406,19 @@ def lerch_zeta_bounded(
     s = complex(s)
     if a <= 0:
         raise DomainError(f"lerch_zeta needs a > 0, got a={a}")
-    if isinstance(lam, (int, Fraction)) and not isinstance(lam, bool):
-        fr = _as_unit_fraction(Fraction(lam))
-        if fr == 0:
-            return _hurwitz_scalar(s, a, prec)
-        q, p = fr.denominator, fr.numerator
-        if q > 1024:
-            raise ResourceBudgetError(
-                f"lerch_zeta: rational reduction limited to denominators <= 1024, got {q}"
-            )
-        total = 0.0 + 0.0j
-        err = 0.0
-        for j in range(q):
-            v, e = _hurwitz_scalar(s, (j + a) / q, prec)
-            root = cmath.exp(2j * math.pi * ((j * p) % q) / q)
-            total += root * v
-            err += abs(e * v)
-        scale = cmath.exp(-s * math.log(q))
-        return scale * total, abs(scale) * err
-    lam_f = float(lam)
-    if abs(lam_f - round(lam_f)) < 1e-15:
+    fr = _rational_twist(lam)
+    if fr is None:
+        return _lerch_direct(s, a, float(lam), prec, max_terms)
+    if fr == 0:
         return _hurwitz_scalar(s, a, prec)
-    return _lerch_direct(s, a, lam_f, prec, max_terms)
+    total = 0.0 + 0.0j
+    err = 0.0
+    for root, shifted in _twist_terms(a, fr):
+        v, e = _hurwitz_scalar(s, shifted, prec)
+        total += root * v
+        err += abs(e * v)
+    scale = cmath.exp(-s * math.log(fr.denominator))
+    return scale * total, abs(scale) * err
 
 
 def lerch_zeta(
@@ -491,25 +510,19 @@ def periodic_zeta(
     (valid on the whole continued plane); other x needs Re s > 1.
     """
     s = complex(s)
-    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-        fr = _as_unit_fraction(Fraction(x))
-        if fr == 0:
-            return _hurwitz_scalar(s, 1.0, prec)[0]
-        q, p = fr.denominator, fr.numerator
-        if q > 1024:
-            raise ResourceBudgetError(
-                f"periodic_zeta: denominator limited to 1024, got {q}"
-            )
-        total = 0.0 + 0.0j
-        for j in range(1, q + 1):
-            root = cmath.exp(2j * math.pi * ((j * p) % q) / q)
-            total += root * _hurwitz_scalar(s, j / q, prec)[0]
-        return cmath.exp(-s * math.log(q)) * total
-    xf = float(x)
-    if abs(xf - round(xf)) < 1e-15:
+    fr = _rational_twist(x)
+    if fr is None:
+        xf = float(x)
+        val, _ = _lerch_direct(s, 1.0, xf, prec, 1 << 25)
+        return cmath.exp(2j * math.pi * (xf - math.floor(xf))) * val
+    if fr == 0:
         return _hurwitz_scalar(s, 1.0, prec)[0]
-    val, _ = _lerch_direct(s, 1.0, xf, prec, 1 << 25)
-    return cmath.exp(2j * math.pi * (xf - math.floor(xf))) * val
+    q, p = fr.denominator, fr.numerator
+    total = 0.0 + 0.0j
+    for j in range(1, q + 1):
+        root = cmath.exp(2j * math.pi * ((j * p) % q) / q)
+        total += root * _hurwitz_scalar(s, j / q, prec)[0]
+    return cmath.exp(-s * math.log(q)) * total
 
 
 def functional_equation_residual(
@@ -544,13 +557,12 @@ def functional_equation_residual(
         raise DomainError("functional_equation_residual needs Re s > 1")
     if abs(s.imag) > 1e3:
         raise DomainError("functional_equation_residual supports |Im s| <= 1e3")
-    lam_is_rat = isinstance(lam, (int, Fraction)) and not isinstance(lam, bool)
-    if not lam_is_rat and abs(float(lam) - round(float(lam))) > 1e-15:
+    lam_frac = _rational_twist(lam)
+    if lam_frac is None:
         raise UnsupportedRegionError(
             "functional_equation_residual needs rational lambda "
             "(pass a Fraction); the 1-s side has no convergent series otherwise"
         )
-    lam_frac = _as_unit_fraction(Fraction(lam))
 
     log_pref = _lgamma_right(s) - s * math.log(2.0 * math.pi)
     if lam_frac == 0:

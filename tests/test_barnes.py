@@ -50,6 +50,19 @@ def test_multi_pole_guard():
         for k in range(1, r + 1):
             with pytest.raises(PoleError):
                 bz.multi_hurwitz(complex(k, 0.0), 0.5, r)
+            with pytest.raises(PoleError):
+                bz.multi_hurwitz_line(float(k), 0.5, r, np.linspace(-1.0, 1.0, 5))
+
+
+def test_multi_is_gated_like_its_hurwitz_terms():
+    # the j = 1 term of rank 2 sits at Re s - 1 = -10.5, outside hurwitz_zeta's domain
+    with pytest.raises(DomainError):
+        bz.multi_hurwitz(complex(-9.5, 2.0), 0.7, 2)
+    with pytest.raises(DomainError):
+        bz.multi_hurwitz(complex(10.5, 2.0), 0.7, 2)
+    val, err = bz.multi_hurwitz_bounded(complex(-9.5, 2.0), 0.7, 1)
+    assert val == bz.multi_hurwitz(complex(-9.5, 2.0), 0.7, 1)
+    assert err == zc.hurwitz_zeta_bounded(complex(-9.5, 2.0), 0.7)[1]
 
 
 def test_multi_line_matches_scalar():
@@ -191,6 +204,9 @@ def test_truncated_validity_window():
 def test_truncated_pole_guard():
     with pytest.raises(PoleError):
         bz.barnes_truncated(complex(2.0, 0.0), 0.7, (1.0, 1.0), 10.0)
+    for k in (1, 2):
+        with pytest.raises(PoleError):
+            bz.barnes_truncated_line(float(k), 0.7, (1.0, 1.0), np.linspace(-4.0, 4.0, 9))
 
 
 def test_truncated_line_matches_scalar():

@@ -11,6 +11,7 @@ import pytest
 
 import zetaline.cli
 import zetaline.verify
+from zetaline.barnes import multi_hurwitz_bounded
 from zetaline.cli import main
 from zetaline.meanvalue import mean_square_grid
 from zetaline.verify import oscillatory_suite
@@ -53,6 +54,15 @@ def test_eval_lerch_matches_library(capsys):
     assert float(fields["err"]) == pytest.approx(err, rel=1e-15)
 
 
+def test_eval_multi_prints_library_bound(capsys):
+    for sigma, t, r in (("2.5", "3", 2), ("-3", "25", 3), ("0.5", "-40", 3)):
+        code, out, _ = run_cli(capsys, "eval", "--kind", "multi", "--r", str(r),
+                               "--sigma", sigma, "--t", t, "--a", "0.7")
+        assert code == 0
+        val, err = multi_hurwitz_bounded(complex(float(sigma), float(t)), 0.7, r)
+        assert out == f"re={val.real:.17g} im={val.imag:.17g} err={err:.17g}\n"
+
+
 def test_eval_barnes_outside_strip_is_domain_error(capsys):
     code, out, err = run_cli(capsys, "eval", "--kind", "barnes", "--w", "1,1",
                              "--sigma", "1.0", "--t", "0", "--a", "1")
@@ -71,13 +81,6 @@ def test_eval_missing_kind_specific_flags(capsys):
     code, _, _ = run_cli(capsys, "eval", "--kind", "lerch", "--lambda", "x/y",
                          "--sigma", "2", "--t", "0", "--a", "1")
     assert code == 2
-
-
-def test_threads_flag_does_not_change_output(capsys):
-    args = ["eval", "--kind", "hurwitz", "--sigma", "0.5", "--t", "30", "--a", "0.7"]
-    _, base, _ = run_cli(capsys, *args)
-    _, threaded, _ = run_cli(capsys, *args, "--threads", "8")
-    assert threaded == base
 
 
 def test_meansquare_absolute_region(capsys, tmp_path):

@@ -25,9 +25,10 @@ from zetaline.errors import (
     AccuracyError,
     DomainError,
     PoleError,
+    ResourceBudgetError,
     UnsupportedRegionError,
 )
-from zetaline.meanvalue import simpson_nodes
+from zetaline.meanvalue import MeanSquareRequest, mean_square, simpson_nodes
 
 EULER = 0.57721566490153286
 
@@ -218,6 +219,17 @@ def test_lerch_rational_reduction_matches_direct_series():
             red = zc.lerch_zeta(s, 0.6, lam)
             direct = zc.lerch_zeta(s, 0.6, float(lam))
             assert abs(red - direct) <= 1e-10 * abs(red)
+
+
+def test_twist_denominator_cap_is_shared():
+    lam = Fraction(1, 1025)
+    with pytest.raises(ResourceBudgetError):
+        zc.lerch_zeta_bounded(complex(0.5, 3.0), 0.7, lam)
+    with pytest.raises(ResourceBudgetError):
+        zc.periodic_zeta(lam, complex(2.0, 3.0))
+    req = MeanSquareRequest(kind="lerch", sigma=0.5, a=1.0, T=10.0, lam=lam)
+    with pytest.raises(ResourceBudgetError):
+        mean_square(req)
 
 
 def test_periodic_zeta_frozen_value():
