@@ -26,7 +26,9 @@ Two families are implemented.
 
   which approximates the full sum with error O(x^(r-1-Re s)) as long as
   ``|t| <= 2*pi*x / c_factor`` (the policy window).  The scalar
-  ``barnes_truncated`` is the one-point line.
+  ``barnes_truncated`` is the one-point line, and the line is the one-row
+  ``barnes_truncated_line_batch``, whose rows at several real parts share
+  one phase matrix.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ __all__ = [
     "barnes_direct",
     "barnes_truncated",
     "barnes_truncated_line",
+    "barnes_truncated_line_batch",
 ]
 
 MAX_RANK = 16
@@ -533,7 +536,26 @@ def barnes_truncated_line(
     """Truncated Barnes values on a t-grid sharing one lattice profile.
 
     When x is omitted it is fixed from max |t| through the policy, so a whole
-    mean-square run reuses a single box.
+    mean-square run reuses a single box.  The one-row case of
+    `barnes_truncated_line_batch`.
+    """
+    rows, errs = barnes_truncated_line_batch([sigma], a, w, ts, x, policy, profile)
+    return rows[0], errs[0]
+
+
+def barnes_truncated_line_batch(
+    sigmas: Sequence[float],
+    a: float,
+    w: Sequence[float],
+    ts: np.ndarray,
+    x: float | None = None,
+    policy: TruncationPolicy | None = None,
+    profile: LatticeProfile | None = None,
+) -> Tuple[np.ndarray, list]:
+    """Rows of truncated Barnes values at each sigma_i, with errs[i] = x^(r-1-sigma_i).
+
+    The window check, the lattice profile and log(values) are done once, and
+    every phase chunk pays its exp once for all sigma_i.
     """
     w = _check_weights(w)
     r = len(w)
@@ -544,15 +566,15 @@ def barnes_truncated_line(
     if x is None:
         x = policy.x_for(t_max)
     _check_truncation_window(policy, x, t_max)
-    _check_pole(sigma, ts, r)
+    for sigma in sigmas:
+        _check_pole(sigma, ts, r)
     if profile is None:
         profile = build_lattice_profile(a, w, x)
     else:
         _check_profile_match(profile, a, w, x)
     logv = np.log(profile.values)
-    amp = profile.counts.astype(float) * np.exp(-sigma * logv)
-    out = _phase_sum(logv, [amp], ts)[0]
-    s_arr = sigma + 1j * ts
-    out += _boundary_corrections(s_arr, a, w, x)
-    err = x ** (r - 1 - sigma)
-    return out, err
+    counts = profile.counts.astype(float)
+    rows = _phase_sum(logv, [counts * np.exp(-sigma * logv) for sigma in sigmas], ts)
+    for row, sigma in zip(rows, sigmas):
+        row += _boundary_corrections(sigma + 1j * ts, a, w, x)
+    return rows, [float(x ** (r - 1 - sigma)) for sigma in sigmas]

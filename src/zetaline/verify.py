@@ -33,9 +33,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .barnes import (
-    TruncationPolicy,
     barnes_truncated_line,
-    build_lattice_profile,
+    barnes_truncated_line_batch,
+    build_lattice_profile,  # unused here; benchmarks/tracing.py patches it at this name
     multi_hurwitz_line,
 )
 from .combinatorics import reduction_coefficients
@@ -229,19 +229,13 @@ def envelope_multi(
                 f"kind=weights sweeps need sigma > r-1 (truncation region), got {bad}"
             )
     ts = _t_nodes(t_max, per_octave)
-    profile = None
-    if kind == "weights":
-        x = TruncationPolicy().x_for(float(ts[-1]))
-        profile = build_lattice_profile(a, w, x)
+    if kind == "ones":
+        lines = [multi_hurwitz_line(sigma, a, r, ts, prec) for sigma in sigmas]
+    else:
+        lines, _ = barnes_truncated_line_batch(sigmas, a, w, ts)
     rows: List[Sequence] = []
     observed = 0.0
-    for sigma in sigmas:
-        if kind == "ones":
-            line = multi_hurwitz_line(sigma, a, r, ts, prec)
-        else:
-            line, _ = barnes_truncated_line(
-                sigma, a, w, ts, x=profile.x, profile=profile
-            )
+    for sigma, line in zip(sigmas, lines):
         ratio = np.abs(line) / _envelope_curve(r, sigma, ts)
         idx = int(np.argmax(ratio))
         rows.append((sigma, float(ratio[idx]), float(ts[idx])))

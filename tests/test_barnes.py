@@ -19,6 +19,8 @@ from zetaline.errors import (
     TruncationValidityError,
     UnsupportedRegionError,
 )
+from zetaline.meanvalue import simpson_nodes
+from zetaline.verify import _t_nodes
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +240,49 @@ def test_truncated_reruns_bit_identical():
     r1, _ = bz.barnes_truncated_line(1.25, 0.7, (1.0, 2.0), ts)
     r2, _ = bz.barnes_truncated_line(1.25, 0.7, (1.0, 2.0), ts)
     assert r1.tobytes() == r2.tobytes()
+
+
+BATCH_SIGMAS = (1.25, 1.5, 1.75)
+BATCH_W = (1.0, math.sqrt(2.0))
+
+
+def _per_sigma_rows(ts):
+    return [bz.barnes_truncated_line(sigma, 0.7, BATCH_W, ts) for sigma in BATCH_SIGMAS]
+
+
+def test_truncated_batch_matches_per_sigma_lines_on_geometric_grid():
+    ts = _t_nodes(40.0)  # not evenly spaced: the direct phase matrix
+    rows, errs = bz.barnes_truncated_line_batch(BATCH_SIGMAS, 0.7, BATCH_W, ts)
+    assert rows.shape == (len(BATCH_SIGMAS), ts.size)
+    for row, err, (want, want_err) in zip(rows, errs, _per_sigma_rows(ts)):
+        assert np.array_equal(row, want)
+        assert err == want_err
+
+
+def test_truncated_batch_matches_per_sigma_lines_on_simpson_grid():
+    ts = simpson_nodes(60.0, 0.7)[0]
+    h = ts[1] - ts[0]
+    assert np.array_equal(ts, ts[0] + h * np.arange(ts.size))  # the factored phases
+    rows, _ = bz.barnes_truncated_line_batch(BATCH_SIGMAS, 0.7, BATCH_W, ts)
+    for row, (want, _) in zip(rows, _per_sigma_rows(ts)):
+        assert np.array_equal(row, want)
+
+
+def test_truncated_batch_error_scales():
+    ts = np.linspace(1.0, 40.0, 17)
+    x = bz.TruncationPolicy().x_for(40.0)
+    _, errs = bz.barnes_truncated_line_batch(BATCH_SIGMAS, 0.7, BATCH_W, ts)
+    assert errs == [x ** (2 - 1 - sigma) for sigma in BATCH_SIGMAS]
+    assert all(type(e) is float for e in errs)
+
+
+def test_truncated_batch_guards():
+    with pytest.raises(PoleError):
+        bz.barnes_truncated_line_batch((1.5, 2.0), 0.7, BATCH_W, np.linspace(-4.0, 4.0, 9))
+    with pytest.raises(TruncationValidityError):
+        bz.barnes_truncated_line_batch(
+            BATCH_SIGMAS, 0.7, BATCH_W, np.array([5.0, 50.0]), x=10.0
+        )
 
 
 # ---------------------------------------------------------------------------

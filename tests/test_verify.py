@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from zetaline.barnes import barnes_truncated_line
 from zetaline.errors import DomainError
 from zetaline.verify import (
     VerdictRecord,
@@ -19,6 +20,7 @@ from zetaline.verify import (
     mv_suite,
     oscillatory_integral,
     oscillatory_suite,
+    _envelope_curve,
     _t_nodes,
 )
 
@@ -79,6 +81,23 @@ def test_envelope_multi_ones_absolute_region():
 def test_envelope_multi_weights_runs():
     rec = envelope_multi(2, 1.0, "weights", (1.5,), 200.0, w=(1.0, 2.0))
     assert rec.passed and rec.observed_constant <= 10.0
+
+
+def test_envelope_multi_weights_rows_match_per_sigma_lines(tmp_path):
+    """The shared-phase sweep writes the rows per-sigma truncated lines give."""
+    sigmas, w = (1.25, 1.5, 1.75), (1.0, math.sqrt(2.0))
+    rec = envelope_multi(2, 1.0, "weights", sigmas, 40.0, w=w, out_dir=str(tmp_path))
+    ts = _t_nodes(40.0)
+    want = []
+    for sigma in sigmas:
+        line, _ = barnes_truncated_line(sigma, 1.0, w, ts)
+        ratio = np.abs(line) / _envelope_curve(2, sigma, ts)
+        idx = int(np.argmax(ratio))
+        want.append((sigma, float(ratio[idx]), float(ts[idx])))
+    lines = (tmp_path / rec.artifacts[0]).read_text().splitlines()
+    assert lines[0] == "sigma,sup_ratio,t_at_sup"
+    assert [tuple(float(c) for c in ln.split(",")) for ln in lines[1:]] == want
+    assert rec.observed_constant == max(sup for _, sup, _ in want)
 
 
 def test_envelope_multi_domain_guards():
