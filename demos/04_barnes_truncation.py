@@ -1,24 +1,18 @@
-"""Truncated Barnes sums: overlap with the direct series, and the profile cache.
+"""Truncated Barnes sums: overlap with the direct series, and lattice profiles.
 
 Inside the strip r - 1 < sigma <= r the direct lattice series diverges,
 but the box sum to x plus boundary corrections approximates the function
 with error on the scale x^(r-1-sigma).  Where both methods apply they must
-agree, and the error should shrink as x grows.  The collapsed lattice
-profile (distinct values + multiplicities) is the expensive part, so it
-can be saved and reloaded.
+agree, and the error should shrink as x grows.
 """
 
 import math
-import os
-import tempfile
 
 from zetaline.barnes import (
     barnes_direct,
     barnes_truncated,
     barnes_truncated_line,
     build_lattice_profile,
-    load_profile,
-    save_profile,
 )
 
 W = (1.0, 2.0)
@@ -46,9 +40,3 @@ for w in ((1.0, 2.0), (1.0, math.sqrt(2.0))):
     profile = build_lattice_profile(1.0, w, 200.0)
     print(f"  w={w}: {profile.values.size} atoms for x=200")
 
-with tempfile.TemporaryDirectory() as d:
-    path = os.path.join(d, "profile.npz")
-    save_profile(profile, path)
-    again = load_profile(path)
-    print(f"cache roundtrip: {again.values.size} atoms, "
-          f"identical={np.array_equal(again.values, profile.values)}")

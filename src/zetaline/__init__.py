@@ -26,7 +26,6 @@ from .errors import (
     AccuracyError,
     DomainError,
     PoleError,
-    ProfileCacheError,
     ResourceBudgetError,
     TruncationValidityError,
     UnsupportedRegionError,
@@ -49,7 +48,6 @@ __all__ = [
     "TruncationValidityError",
     "AccuracyError",
     "ResourceBudgetError",
-    "ProfileCacheError",
     "CoefficientTable",
     "bernoulli",
     "reduction_coefficients",

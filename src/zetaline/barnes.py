@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import struct
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
@@ -45,7 +44,6 @@ from .combinatorics import bernoulli, reduction_coefficients
 from .errors import (
     DomainError,
     PoleError,
-    ProfileCacheError,
     ResourceBudgetError,
     TruncationValidityError,
     UnsupportedRegionError,
@@ -53,6 +51,7 @@ from .errors import (
 from .zetacore import (
     DEFAULT_PRECISION,
     Precision,
+    _POLE_GUARD,
     _hurwitz_scalar,
     _phase_sum,
     hurwitz_line_batch,
@@ -64,8 +63,6 @@ __all__ = [
     "TruncationPolicy",
     "LatticeProfile",
     "build_lattice_profile",
-    "save_profile",
-    "load_profile",
     "multi_hurwitz",
     "multi_hurwitz_bounded",
     "multi_hurwitz_line",
@@ -76,10 +73,6 @@ __all__ = [
 ]
 
 MAX_RANK = 16
-
-_POLE_GUARD = 1e-8
-_PROFILE_MAGIC = b"MZLP"
-_PROFILE_VERSION = 1
 
 
 def _check_weights(w: Sequence[float]) -> Tuple[float, ...]:
@@ -389,61 +382,6 @@ def build_lattice_profile(
     return LatticeProfile(
         r=len(w), a=a, w=w, x=float(x), values=values, counts=counts
     )
-
-
-def save_profile(profile: LatticeProfile, path) -> None:
-    """Write the MZLP binary layout (little-endian, interleaved value/count)."""
-    try:
-        with open(path, "wb") as fh:
-            fh.write(_PROFILE_MAGIC)
-            fh.write(struct.pack("<II", _PROFILE_VERSION, profile.r))
-            fh.write(struct.pack("<d", profile.a))
-            fh.write(struct.pack(f"<{profile.r}d", *profile.w))
-            fh.write(struct.pack("<d", profile.x))
-            fh.write(struct.pack("<Q", profile.values.size))
-            inter = np.empty(profile.values.size * 2, dtype=np.float64)
-            inter[0::2] = profile.values
-            inter[1::2] = profile.counts.astype(np.uint64).view(np.float64)
-            fh.write(inter.astype("<f8").tobytes())
-    except OSError as exc:
-        raise ProfileCacheError(f"cannot write profile cache: {exc}") from exc
-
-
-def load_profile(path) -> LatticeProfile:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise ProfileCacheError(f"cannot read profile cache: {exc}") from exc
-    if len(raw) < 4 or raw[:4] != _PROFILE_MAGIC:
-        raise ProfileCacheError("profile cache: bad magic")
-    off = 4
-    try:
-        version, r = struct.unpack_from("<II", raw, off)
-        off += 8
-        if version != _PROFILE_VERSION:
-            raise ProfileCacheError(
-                f"profile cache: unsupported version {version}"
-            )
-        (a,) = struct.unpack_from("<d", raw, off)
-        off += 8
-        w = struct.unpack_from(f"<{r}d", raw, off)
-        off += 8 * r
-        (x,) = struct.unpack_from("<d", raw, off)
-        off += 8
-        (n,) = struct.unpack_from("<Q", raw, off)
-        off += 8
-        need = n * 16
-        if len(raw) - off != need:
-            raise ProfileCacheError(
-                f"profile cache: expected {need} payload bytes, got {len(raw) - off}"
-            )
-        inter = np.frombuffer(raw, dtype="<f8", offset=off, count=2 * n)
-        values = inter[0::2].copy()
-        counts = inter[1::2].copy().view(np.uint64)
-    except struct.error as exc:
-        raise ProfileCacheError(f"profile cache: truncated header: {exc}") from exc
-    return LatticeProfile(r=r, a=a, w=tuple(w), x=x, values=values, counts=counts)
 
 
 @dataclass(frozen=True)

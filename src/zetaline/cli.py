@@ -27,14 +27,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import __version__
 from .barnes import TruncationPolicy, barnes_direct, barnes_truncated, multi_hurwitz_bounded
-from .errors import (
-    AccuracyError,
-    DomainError,
-    ProfileCacheError,
-    ResourceBudgetError,
-    ZetalineError,
-)
+from .errors import AccuracyError, DomainError, ResourceBudgetError, ZetalineError
 from .meanvalue import (
+    _MIN_REPORT_SAMPLES,
     MeanSquareRequest,
     mean_square_grid,
     measurement_row,
@@ -98,6 +93,21 @@ def _precision(ns) -> Precision:
     return Precision(rel_tol=ns.rel_tol)
 
 
+def _kind_args(ns) -> dict:
+    """The keyword --kind adds, checked: lam (default 1), r, w, or none for hurwitz."""
+    if ns.kind == "lerch":
+        return {"lam": ns.lam if ns.lam is not None else Fraction(1)}
+    if ns.kind == "multi":
+        if ns.r is None:
+            raise DomainError("--kind multi needs --r")
+        return {"r": ns.r}
+    if ns.kind == "barnes":
+        if ns.w is None:
+            raise DomainError("--kind barnes needs --w")
+        return {"w": ns.w}
+    return {}
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -120,19 +130,15 @@ def _eval_barnes_bounded(
 def cmd_eval(ns, argv: Sequence[str]) -> int:
     prec = _precision(ns)
     s = complex(ns.sigma, ns.t)
+    args = _kind_args(ns)
     if ns.kind == "hurwitz":
         val, err = hurwitz_zeta_bounded(s, ns.a, prec)
     elif ns.kind == "lerch":
-        lam = ns.lam if ns.lam is not None else Fraction(1)
-        val, err = lerch_zeta_bounded(s, ns.a, lam, prec)
+        val, err = lerch_zeta_bounded(s, ns.a, args["lam"], prec)
     elif ns.kind == "multi":
-        if ns.r is None:
-            raise DomainError("--kind multi needs --r")
-        val, err = multi_hurwitz_bounded(s, ns.a, ns.r, prec)
+        val, err = multi_hurwitz_bounded(s, ns.a, args["r"], prec)
     else:
-        if ns.w is None:
-            raise DomainError("--kind barnes needs --w")
-        val, err = _eval_barnes_bounded(s, ns.a, ns.w, prec)
+        val, err = _eval_barnes_bounded(s, ns.a, args["w"], prec)
     print(f"re={val.real:.17g} im={val.imag:.17g} err={err:.17g}")
     return EXIT_OK
 
@@ -143,18 +149,7 @@ def cmd_eval(ns, argv: Sequence[str]) -> int:
 
 def _build_request(ns, T: float) -> MeanSquareRequest:
     kind = {"multi": "multi_hurwitz"}.get(ns.kind, ns.kind)
-    kwargs = {"kind": kind, "sigma": ns.sigma, "a": ns.a, "T": T}
-    if kind == "lerch":
-        kwargs["lam"] = ns.lam if ns.lam is not None else Fraction(1)
-    if kind == "multi_hurwitz":
-        if ns.r is None:
-            raise DomainError("--kind multi needs --r")
-        kwargs["r"] = ns.r
-    if kind == "barnes":
-        if ns.w is None:
-            raise DomainError("--kind barnes needs --w")
-        kwargs["w"] = ns.w
-    return MeanSquareRequest(**kwargs)
+    return MeanSquareRequest(kind=kind, sigma=ns.sigma, a=ns.a, T=T, **_kind_args(ns))
 
 
 def _prediction_for(ns):
@@ -166,8 +161,7 @@ def _prediction_for(ns):
     if ns.predict == "lerch":
         if ns.kind != "lerch":
             raise DomainError("--predict lerch applies to --kind lerch")
-        lam = ns.lam if ns.lam is not None else Fraction(1)
-        return predict_lerch_mean_square(ns.sigma, ns.a, lam)
+        return predict_lerch_mean_square(ns.sigma, ns.a, _kind_args(ns)["lam"])
     return None
 
 
@@ -185,6 +179,10 @@ def cmd_meansquare(ns, argv: Sequence[str]) -> int:
     req = _build_request(ns, T_values[-1])
     prec = _precision(ns)
     pred = _prediction_for(ns)
+    if pred is not None and len(T_values) < _MIN_REPORT_SAMPLES:
+        # residual_report would reject the run only after the integration
+        raise DomainError(f"--predict needs at least {_MIN_REPORT_SAMPLES} distinct "
+                          f"T values, got {len(T_values)}")
 
     measured = mean_square_grid(req, T_values, prec)
     rows = [measurement_row(req, T_eff, res) for T_eff, res in measured]
@@ -355,18 +353,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return ns.func(ns, argv)
-    except ProfileCacheError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except ResourceBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except AccuracyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ACCURACY
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except ZetalineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

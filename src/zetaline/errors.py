@@ -16,7 +16,6 @@ __all__ = [
     "TruncationValidityError",
     "AccuracyError",
     "ResourceBudgetError",
-    "ProfileCacheError",
 ]
 
 
@@ -58,7 +57,3 @@ class AccuracyError(ZetalineError):
 
 class ResourceBudgetError(ZetalineError):
     """A lattice/series budget (point count, term count, memory) was exceeded."""
-
-
-class ProfileCacheError(ZetalineError, OSError):
-    """A lattice profile cache file is missing, truncated or corrupt."""

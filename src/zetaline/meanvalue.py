@@ -68,6 +68,8 @@ _T_MAX_DEFAULT = {"hurwitz": 5000.0, "lerch": 5000.0, "multi_hurwitz": 5000.0, "
 
 _STEP_SNAP = 2 ** 20
 
+_MIN_REPORT_SAMPLES = 4  # fewest T values a residual trend is fitted from
+
 LambdaLike = Union[int, float, Fraction]
 
 
@@ -138,7 +140,6 @@ class MeanSquareRequest:
     r: Optional[int] = None
     w: Optional[Tuple[float, ...]] = None
     step_fixed: Optional[float] = None
-    t_cap: Optional[float] = None
 
     def __post_init__(self):
         if self.kind not in _T_MAX_DEFAULT:
@@ -153,7 +154,7 @@ class MeanSquareRequest:
             raise DomainError("kind=multi_hurwitz requires r")
         if self.kind == "barnes" and not self.w:
             raise DomainError("kind=barnes requires w")
-        cap = self.t_cap if self.t_cap is not None else _T_MAX_DEFAULT[self.kind]
+        cap = _T_MAX_DEFAULT[self.kind]
         if not (2.0 <= self.T <= cap):
             raise DomainError(
                 f"T must lie in [2, {cap}] for kind={self.kind}, got {self.T}"
@@ -280,7 +281,6 @@ def mixed_mean(
     a: float,
     T: float,
     prec: Precision = DEFAULT_PRECISION,
-    step_fixed: Optional[float] = None,
 ) -> complex:
     """integral_1^T zeta_H(s-k, a) conj(zeta_H(s-l, a)) dt, s = sigma + it.
 
@@ -300,7 +300,7 @@ def mixed_mean(
         )
     if T < 2.0:
         raise DomainError("mixed_mean needs T >= 2")
-    ts, h, _ = simpson_nodes(T, a, step_fixed)
+    ts, h, _ = simpson_nodes(T, a)
     if k == l:
         row = hurwitz_line(sigma - k, a, ts, prec)
         prod = np.abs(row) ** 2
@@ -493,8 +493,8 @@ def residual_report(
     fitted exponent of |measured - predicted| / (log T)^error_log to stay
     at or below error_exponent + 0.15.
     """
-    if len(measured) < 4:
-        raise DomainError("residual_report needs at least 4 T samples")
+    if len(measured) < _MIN_REPORT_SAMPLES:
+        raise DomainError(f"residual_report needs at least {_MIN_REPORT_SAMPLES} T samples")
     ts = [float(T) for T, _ in measured]
     if sorted(set(ts)) != ts:
         raise DomainError("residual_report needs strictly increasing distinct T")

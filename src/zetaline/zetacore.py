@@ -68,7 +68,6 @@ __all__ = [
     "gen_euler_constant",
     "log_abs_gamma",
     "gamma_abs",
-    "gamma_complex",
     "gamma_envelope",
 ]
 
@@ -230,9 +229,9 @@ def _hurwitz_reflected(
         f_plus, ep = _hurwitz_scalar(sp, 1.0, prec)
         f_minus, em_ = f_plus, ep
     else:
-        f_plus, ep = _lerch_direct(sp, 1.0, aa, prec, 1 << 25)
+        f_plus, ep = _lerch_direct(sp, 1.0, aa, prec)
         f_plus *= cmath.exp(2j * math.pi * aa)
-        f_minus, em_ = _lerch_direct(sp, 1.0, 1.0 - aa, prec, 1 << 25)
+        f_minus, em_ = _lerch_direct(sp, 1.0, 1.0 - aa, prec)
         f_minus *= cmath.exp(2j * math.pi * (1.0 - aa))
     c_plus = cmath.exp(log_pref - 0.5j * math.pi * sp)
     c_minus = cmath.exp(log_pref + 0.5j * math.pi * sp)
@@ -271,9 +270,8 @@ def hurwitz_zeta(s: complex, a: float, prec: Precision = DEFAULT_PRECISION) -> c
 
 
 def riemann_zeta(s: complex, prec: Precision = DEFAULT_PRECISION) -> complex:
-    """Riemann zeta as the a=1 Hurwitz value (single code path)."""
-    s = complex(s)
-    return _hurwitz_scalar(s, 1.0, prec)[0]
+    """Riemann zeta: `hurwitz_zeta` at a = 1, domain and accuracy gate included."""
+    return hurwitz_zeta(s, 1.0, prec)
 
 
 def hurwitz_line(
@@ -359,6 +357,7 @@ def hurwitz_finite_approx(
 
 
 _MAX_TWIST_DENOMINATOR = 1024
+_LERCH_MAX_TERMS = 1 << 25  # explicit-sum cap of the direct series
 
 
 def _rational_twist(lam: LambdaLike) -> Fraction | None:
@@ -394,21 +393,20 @@ def lerch_zeta_bounded(
     a: float,
     lam: LambdaLike,
     prec: Precision = DEFAULT_PRECISION,
-    max_terms: int = 1 << 25,
 ) -> Tuple[complex, float]:
     """zeta_L(s, a, lambda) with an error estimate.
 
     Rational lambda: exact q-fold Hurwitz reduction (valid for all s != 1
     carried by the continued zeta_H).  Other lambda: direct series, needs
     Re s > 1; raises UnsupportedRegionError otherwise and AccuracyError when
-    the Abel tail bound cannot reach the tolerance within ``max_terms``.
+    the Abel tail bound cannot reach the tolerance within ``_LERCH_MAX_TERMS``.
     """
     s = complex(s)
     if a <= 0:
         raise DomainError(f"lerch_zeta needs a > 0, got a={a}")
     fr = _rational_twist(lam)
     if fr is None:
-        return _lerch_direct(s, a, float(lam), prec, max_terms)
+        return _lerch_direct(s, a, float(lam), prec)
     if fr == 0:
         return _hurwitz_scalar(s, a, prec)
     total = 0.0 + 0.0j
@@ -432,7 +430,7 @@ def lerch_zeta(
 
 
 def _lerch_direct(
-    s: complex, a: float, lam: float, prec: Precision, max_terms: int
+    s: complex, a: float, lam: float, prec: Precision
 ) -> Tuple[complex, float]:
     """Direct series with accelerated oscillatory tail, Re s > 1 only.
 
@@ -465,12 +463,12 @@ def _lerch_direct(
 
     m_need = 64.0 + depth
     target = prec.rel_tol * scale
-    while tail_bound(m_need) > target and m_need < max_terms:
+    while tail_bound(m_need) > target and m_need < _LERCH_MAX_TERMS:
         m_need *= 2.0
     if tail_bound(m_need) > target:
         raise AccuracyError(
             f"lerch_zeta: accelerated tail bound {tail_bound(m_need):.3e} "
-            f"above tolerance within the {max_terms}-term budget",
+            f"above tolerance within the {_LERCH_MAX_TERMS}-term budget",
             achieved=tail_bound(m_need),
         )
     m_cut = int(m_need)
@@ -513,7 +511,7 @@ def periodic_zeta(
     fr = _rational_twist(x)
     if fr is None:
         xf = float(x)
-        val, _ = _lerch_direct(s, 1.0, xf, prec, 1 << 25)
+        val, _ = _lerch_direct(s, 1.0, xf, prec)
         return cmath.exp(2j * math.pi * (xf - math.floor(xf))) * val
     if fr == 0:
         return _hurwitz_scalar(s, 1.0, prec)[0]
@@ -615,14 +613,6 @@ def _lgamma_right(z: complex) -> complex:
         + ser
         + shift
     )
-
-
-def gamma_complex(s: complex) -> complex:
-    """Gamma(s) for Re s > 0 (sufficient for the reflection-formula checks)."""
-    s = complex(s)
-    if s.real <= 0.0:
-        raise DomainError("gamma_complex is implemented for Re s > 0")
-    return cmath.exp(_lgamma_right(s))
 
 
 def log_abs_gamma(s: complex) -> float:

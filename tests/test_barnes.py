@@ -14,7 +14,6 @@ from zetaline import zetacore as zc
 from zetaline.errors import (
     DomainError,
     PoleError,
-    ProfileCacheError,
     ResourceBudgetError,
     TruncationValidityError,
     UnsupportedRegionError,
@@ -155,31 +154,6 @@ def test_profile_generic_weights_do_not_collapse():
 def test_profile_budget():
     with pytest.raises(ResourceBudgetError):
         bz.build_lattice_profile(0.5, (1.0, math.e, math.pi), 2000.0, budget=10**6)
-
-
-def test_profile_cache_round_trip(tmp_path):
-    p = bz.build_lattice_profile(0.7, (1.0, math.sqrt(2.0)), 30.0)
-    path = tmp_path / "box.mzlp"
-    bz.save_profile(p, path)
-    q = bz.load_profile(path)
-    assert q.values.tobytes() == p.values.tobytes()
-    assert q.counts.tobytes() == p.counts.tobytes()
-    assert (q.r, q.a, q.w, q.x) == (p.r, p.a, p.w, p.x)
-
-
-def test_profile_cache_rejects_corruption(tmp_path):
-    p = bz.build_lattice_profile(0.7, (1.0,), 5.0)
-    path = tmp_path / "box.mzlp"
-    bz.save_profile(p, path)
-    raw = path.read_bytes()
-    (tmp_path / "magic.mzlp").write_bytes(b"XXXX" + raw[4:])
-    with pytest.raises(ProfileCacheError):
-        bz.load_profile(tmp_path / "magic.mzlp")
-    (tmp_path / "short.mzlp").write_bytes(raw[:-8])
-    with pytest.raises(ProfileCacheError):
-        bz.load_profile(tmp_path / "short.mzlp")
-    with pytest.raises(ProfileCacheError):
-        bz.load_profile(tmp_path / "missing.mzlp")
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,42 @@ def test_eval_missing_kind_specific_flags(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, args", [
+    ("eval", ["--sigma", "1.5", "--t", "3", "--a", "0.7"]),
+    ("meansquare", ["--sigma", "1.5", "--a", "0.7", "--T", "20"]),
+], ids=["eval", "meansquare"])
+def test_kind_specific_flags(capsys, tmp_path, command, args):
+    out = str(tmp_path / "ms.csv")
+    base = [command, *args] + (["--out", out] if command == "meansquare" else [])
+    for kind, message in (("multi", "--kind multi needs --r"),
+                          ("barnes", "--kind barnes needs --w")):
+        assert run_cli(capsys, *base, "--kind", kind) == (2, "", f"error: {message}\n")
+        assert not os.path.exists(out)
+
+    def result(kind):
+        code, stdout, _ = run_cli(capsys, *base, "--kind", kind)
+        assert code == 0
+        if command == "eval":
+            return stdout
+        header, *rows = open(out).read().splitlines()
+        return [dict(zip(header.split(","), row.split(",")))["value"] for row in rows]
+
+    # --lambda defaults to 1, the untwisted series
+    assert result("hurwitz") == result("lerch")
+    if command == "meansquare":
+        assert json.load(open(out + ".manifest.json"))["inputs"]["lambda"] is None
+
+
+def test_meansquare_predict_needs_four_T_before_integrating(capsys, tmp_path):
+    out = str(tmp_path / "ms.csv")
+    code, stdout, err = run_cli(capsys, "meansquare", "--kind", "hurwitz",
+                                "--sigma", "0.5", "--a", "1", "--T", "300",
+                                "--predict", "multi", "--out", out)
+    assert (code, stdout) == (2, "")
+    assert err == "error: --predict needs at least 4 distinct T values, got 1\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_meansquare_absolute_region(capsys, tmp_path):
     out = str(tmp_path / "ms.csv")
     code, _, _ = run_cli(capsys, "meansquare", "--kind", "hurwitz",

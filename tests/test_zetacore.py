@@ -78,6 +78,14 @@ def test_pole_and_domain_guards():
         zc.hurwitz_zeta(complex(0.5, 2e5), 0.5)
 
 
+def test_riemann_zeta_is_gated_hurwitz_at_one():
+    with pytest.raises(DomainError):
+        zc.riemann_zeta(complex(0.5, 2e5))
+    for s in (complex(0.5, 14.134725), complex(-3.5, 20.0), 3.0):
+        got, want = zc.riemann_zeta(s), zc.hurwitz_zeta(s, 1.0)
+        assert np.array([got]).tobytes() == np.array([want]).tobytes()
+
+
 def test_remainder_estimate_dominates_true_error():
     # doubling the explicit-term count changes the value by far less than
     # the reported estimate
