@@ -94,7 +94,10 @@ def _precision(ns) -> Precision:
 
 
 def _kind_args(ns) -> dict:
-    """The keyword --kind adds, checked: lam (default 1), r, w, or none for hurwitz."""
+    """The keyword --kind adds, checked: lam (default 1), r, w, or none for
+    hurwitz; --r with any kind but multi is a domain error."""
+    if ns.r is not None and ns.kind != "multi":
+        raise DomainError(f"--r applies only to --kind multi, not --kind {ns.kind}")
     if ns.kind == "lerch":
         return {"lam": ns.lam if ns.lam is not None else Fraction(1)}
     if ns.kind == "multi":
@@ -154,10 +157,9 @@ def _build_request(ns, T: float) -> MeanSquareRequest:
 
 def _prediction_for(ns):
     if ns.predict in ("multi", "thm11"):
-        r = ns.r if ns.r is not None else 1
         if ns.kind not in ("hurwitz", "multi"):
             raise DomainError("--predict multi applies to --kind hurwitz or multi")
-        return predict_multi_mean_square(r, ns.sigma, ns.a)
+        return predict_multi_mean_square(_kind_args(ns).get("r", 1), ns.sigma, ns.a)
     if ns.predict == "lerch":
         if ns.kind != "lerch":
             raise DomainError("--predict lerch applies to --kind lerch")

@@ -22,7 +22,6 @@ Suites:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -96,6 +95,10 @@ class VerdictRecord:
 
 
 def _params_hash(text: str) -> str:
+    # imported here: hashlib loads OpenSSL, ~3.5 MB of RSS that the
+    # meansquare and eval commands, which import this module, never use
+    import hashlib
+
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 

@@ -24,13 +24,19 @@ tail bound.  ``_rational_twist`` is the one parser of ``lambda`` (and of the
 periodic zeta's ``x``) and holds the one denominator cap, q <= 1024, for
 values and vertical lines alike; ``_twist_terms`` yields the q reduction pairs.
 
-Vertical-line batches (`hurwitz_line`, `hurwitz_line_batch`) share the phases
-``exp(-i*t*log(m+a))`` across all requested real parts.  On an exactly evenly
-spaced t-grid (the Simpson grids of the mean squares) each phase is an anchor
-row times an offset row, ``exp(-i t_qR log v) * exp(-i j h log v)``, so only
-about 2 sqrt(nodes) rows pay an ``exp``; any other grid uses the direct phase
-matrix.  All reductions are numpy pairwise sums in a fixed order, with no BLAS,
-so repeated runs are bit-identical.
+Vertical-line batches (`hurwitz_line`, `hurwitz_line_batch`) share the phase
+sums ``sum_m (m+a)^(-sigma) exp(-i t log(m+a))`` across all requested real
+parts, and every line evaluator of the package goes through `_phase_sum`.  It
+has two paths.  Long lines take a nonuniform FFT by Gaussian gridding
+(Greengard & Lee, SIAM Review 46 (2004) 443-454), the numpy form of
+Odlyzko & Schoenhage's multi-evaluation: an evenly spaced t-grid (the Simpson
+grids of the mean squares) is the mode set of one type-1 transform, and any
+other grid (the geometric sweeps) is interpolated from a uniform auxiliary
+grid.  Single points, short grids and rows whose amplitudes do not decay
+(sigma <= 0) take the direct phase matrix; `_phase_sum` states the rule.
+The transform costs O(N + nodes) plus an FFT instead of nodes x N.  All
+reductions are bincounts, FFTs and numpy pairwise sums in a fixed order,
+with no BLAS, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -116,30 +122,200 @@ def _shift_count(prec: Precision, t_scale: float) -> int:
 def _phase_sum(logv: np.ndarray, amps, ts: np.ndarray) -> np.ndarray:
     """Rows sum_m amps[i, m] exp(-i t logv[m]) for every ordinate t in ts.
 
-    On an exactly arithmetic grid ts[k] = ts[0] + k h (nt >= 3) each phase
-    is factored around the anchor ts[q R], R = isqrt(nt) capped so the R
-    offset rows fit one chunk: exp(-i ts[q R + j] logv) = exp(-i ts[q R] logv)
-    * exp(-i j h logv); only anchor and offset rows pay an exp.  Other grids
-    take R = 1, the direct phase matrix.  Rows are pairwise sums in fixed order.
+    Two paths, chosen from the inputs alone:
+
+    * transform (`_grid_sums`): ts of the exact form t_a + k h are the modes
+      of one Gaussian-gridding type-1 FFT.  Any other ts is interpolated
+      (`_interpolate`) from the sums on the auxiliary grid j 2^-p, the
+      largest power of two at most pi / (2 max|logv|), so at least twice the
+      band's Nyquist rate.  Its operation count is 2 _SPREAD N + Mr log2 Mr,
+      plus 2 _TAPS per node when interpolating, where N = logv.size and the
+      FFT length Mr is at least 4K for the half-width K of the window of
+      modes (`_mode_window`).
+    * direct (`_direct_sum`): the phase matrix, nodes x N complex exps.
+
+    Rule: the direct path takes the whole call when nodes x N does not exceed
+    the transform's count (single points, short grids), and takes every row
+    whose amplitudes do not decay, |amps[i, -1]| >= |amps[i, 0]| (callers
+    order logv upward).  Such a row's partial sums reach sum |amps| near
+    t = 0, and its caller's tail terms cancel them down to a far smaller
+    value (sigma <= 0 in the Euler-Maclaurin kernel).
+    The transform errs by a few ulp of sum |amps| at every node, while the
+    direct matrix rounds each t logv, an error that vanishes as t -> 0; only
+    the latter keeps those rows' small-t values.  Elsewhere the transform is
+    the more accurate, since it forms its phases exactly.  Rows do not depend
+    on one another, and every sum runs in a fixed order without BLAS.
     """
-    nt, R, width = ts.size, 1, max(logv.size, 1)
-    if nt >= 3:
-        h = ts[1] - ts[0]
-        if h != 0 and np.array_equal(ts, ts[0] + h * np.arange(nt)):
-            R = max(1, min(math.isqrt(nt), _CHUNK_ELEMS // width))
-            offsets = np.exp((-1j) * np.multiply.outer(h * np.arange(R), logv))
+    nt, n = ts.size, logv.size
+    rows = [i for i, amp in enumerate(amps) if n and abs(amp[-1]) < abs(amp[0])]
+    plan = _transform_plan(logv, ts) if rows and nt > 1 else None
+    if plan is None or plan[-1] >= nt * n:
+        return _direct_sum(logv, amps, ts)
+    t_a, step, j_lo, j_hi, on_grid, _ = plan
+    fast = _grid_sums(logv, [amps[i] for i in rows], t_a, step, j_lo, j_hi)
+    if not on_grid:
+        fast = _interpolate(fast, ts / step - j_lo)
     out = np.empty((len(amps), nt), dtype=complex)
-    rows = max(R, _CHUNK_ELEMS // width // R * R)
-    for lo in range(0, nt, rows):
-        hi = min(nt, lo + rows)
-        phases = np.exp((-1j) * np.multiply.outer(ts[lo:hi:R], logv))
-        for i, amp in enumerate(amps):
-            if R == 1:
-                out[i, lo:hi] = (phases * amp).sum(axis=1)
-            else:
-                for k, anchor in zip(range(lo, hi, R), phases):
-                    out[i, k : k + R] = ((anchor * amp) * offsets[: hi - k]).sum(axis=1)
+    out[rows] = fast
+    slow = [i for i in range(len(amps)) if i not in rows]
+    if slow:
+        out[slow] = _direct_sum(logv, [amps[i] for i in slow], ts)
     return out
+
+
+def _direct_sum(logv: np.ndarray, amps, ts: np.ndarray) -> np.ndarray:
+    """The phase matrix in chunks of _CHUNK_ELEMS, each row a pairwise sum."""
+    out = np.empty((len(amps), ts.size), dtype=complex)
+    rows = max(1, _CHUNK_ELEMS // max(logv.size, 1))
+    for lo in range(0, ts.size, rows):
+        phases = np.exp((-1j) * np.multiply.outer(ts[lo : lo + rows], logv))
+        for i, amp in enumerate(amps):
+            out[i, lo : lo + rows] = (phases * amp).sum(axis=1)
+    return out
+
+
+# Gaussian gridding: each source spreads onto 2*_SPREAD points of a grid
+# oversampled >= 2x, which leaves a truncation error near e^(-0.75 pi _SPREAD)
+# ~ 4e-17 of sum |amps| (Greengard & Lee, SIAM Review 46 (2004) 443-454).
+# Interpolation from a 2x oversampled grid takes 2*_TAPS samples per node,
+# with error near e^(-pi _TAPS / 4) ~ 4e-17 of the nearby |sums|.
+_SPREAD = 16
+_TAPS = 48
+_TWO_PI = Fraction("6.283185307179586476925286766559005768394")
+
+
+def _transform_plan(logv: np.ndarray, ts: np.ndarray):
+    """(t_a, step, j_lo, j_hi, on_grid, cost): the grid t_a + j step the
+    transform uses, whether ts is that grid, and the operation count."""
+    nt, n = ts.size, logv.size
+    step = ts[1] - ts[0]
+    if step != 0 and np.array_equal(ts, ts[0] + step * np.arange(nt)):
+        t_a, j_lo, j_hi, on_grid = float(ts[0]), 0, nt - 1, True
+    else:
+        lmax = float(np.max(np.abs(logv)))
+        if lmax == 0.0:
+            return None
+        # a power of two: theta = step logv and t / step are then exact
+        step = 2.0 ** math.floor(math.log2(math.pi / (2.0 * lmax)))
+        t_a, on_grid = 0.0, False
+        j_lo = int(math.floor(float(np.min(ts)) / step)) - _TAPS
+        j_hi = int(math.floor(float(np.max(ts)) / step)) + _TAPS + 1
+    mr = 4 * _mode_window(j_lo, j_hi)[1]  # the FFT length, to within _fft_length's rounding
+    cost = 2 * _SPREAD * n + mr * mr.bit_length() + (0 if on_grid else 2 * _TAPS * nt)
+    return t_a, float(step), j_lo, j_hi, on_grid, cost
+
+
+def _mode_window(j_lo: int, j_hi: int) -> Tuple[int, int]:
+    """(c, K) with j_lo..j_hi inside c + [-K, K), c = 0 or the power of two
+    that makes K least; c times a float is exact, so centring costs no rounding."""
+    mid = (j_lo + j_hi) // 2
+    p, sign = abs(mid).bit_length(), 1 if mid > 0 else -1
+
+    def half_width(c: int) -> int:
+        return max(c - j_lo, j_hi + 1 - c)
+
+    c = min([0] + [sign << e for e in (p - 1, p) if e >= 0], key=half_width)
+    return c, half_width(c)
+
+
+def _exact_phase(t: float, logv: np.ndarray) -> np.ndarray:
+    """exp(-i t logv) with the product t logv carried exactly (Dekker)."""
+    arg, err = _two_product(t, logv)
+    return np.exp(-1j * arg) * (1.0 - 1j * err)
+
+
+def _fft_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length np.fft handles fast."""
+    best, p2 = 1 << max(n - 1, 0).bit_length(), 1
+    while p2 < best:
+        p3 = p2
+        while p3 < best:
+            p5 = p3
+            while p5 < n:
+                p5 *= 5
+            best = min(best, p5)
+            p3 *= 3
+        p2 *= 2
+    return best
+
+
+def _grid_sums(logv, amps, t_a: float, step: float, j_lo: int, j_hi: int) -> np.ndarray:
+    """Rows sum_m amps[i, m] exp(-i (t_a + j step) logv[m]) for j_lo <= j <= j_hi.
+
+    A type-1 nonuniform FFT by Gaussian gridding: with theta_m = step logv[m]
+    and modes j = c + k, |k| < K (`_mode_window`), the sources
+    amps exp(-i (t_a + c step) logv) are spread with weights
+    exp(-(theta - xi)^2 / (4 tau)) onto the grid xi_n = 2 pi n / Mr, Mr >= 4K;
+    an FFT and the factor sqrt(pi/tau) e^(k^2 tau) / Mr then give the modes.
+    tau comes from the achieved oversampling Mr / 2K.
+
+    The phases carry no rounding of their own: t_a logv, (c step) logv and
+    each source's grid position step logv Mr / (2 pi) are formed exactly
+    (Dekker's product, 2 pi to 40 digits), so mode j sees j theta_m to about
+    one ulp of a grid cell.  The direct matrix instead rounds t logv once
+    per element.
+    """
+    c, K = _mode_window(j_lo, j_hi)
+    mr = _fft_length(4 * K)
+    ratio = mr / (2.0 * K)
+    tau = math.pi * _SPREAD / (4.0 * K * K * ratio * (ratio - 0.5))
+    pre = _exact_phase(t_a, logv) * _exact_phase(c * step, logv)
+    cells = Fraction(step) * mr / _TWO_PI
+    cells_hi = float(cells)
+    pos, pos_err = _two_product(cells_hi, logv)
+    pos_err += float(cells - Fraction(cells_hi)) * logv
+    cell = np.floor(pos)
+    frac = (pos - cell) + pos_err
+    first = (cell.astype(np.intp) - (_SPREAD - 1)) % mr
+    taps = np.arange(2 * _SPREAD)
+    grids = np.zeros((len(amps), mr + 2 * _SPREAD), dtype=complex)
+    block = max(1, _CHUNK_ELEMS // (8 * _SPREAD))
+    for start in range(0, logv.size, block):
+        sl = slice(start, start + block)
+        # grid cell first + l sits at offset l - (_SPREAD - 1) from the source
+        dist = frac[sl, None] + ((_SPREAD - 1) - taps)
+        weight = np.exp(dist * dist * (-((math.pi / mr) ** 2) / tau))
+        idx = (first[sl, None] + taps).ravel()
+        for g, amp in zip(grids, amps):
+            src = amp[sl] * pre[sl]
+            g.real += np.bincount(idx, (weight * src.real[:, None]).ravel(), g.size)
+            g.imag += np.bincount(idx, (weight * src.imag[:, None]).ravel(), g.size)
+    ks = np.arange(j_lo - c, j_hi + 1 - c)
+    scale = np.exp((ks * ks) * tau) * (math.sqrt(math.pi / tau) / mr)
+    out = np.empty((len(amps), ks.size), dtype=complex)
+    for i, g in enumerate(grids):
+        g[: 2 * _SPREAD] += g[mr:]
+        out[i] = np.fft.fft(g[:mr])[ks % mr] * scale
+    return out
+
+
+def _two_product(a, b):
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker, 1971)."""
+    p = a * b
+    a_hi, a_lo = _veltkamp_split(a)
+    b_hi, b_lo = _veltkamp_split(b)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _veltkamp_split(x):
+    """x = hi + lo with each part 26 bits wide, so their products are exact."""
+    c = 134217729.0 * x  # 2^27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _interpolate(samples: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Rows at the fractional sample positions x, by Gaussian-regularised
+    Shannon sampling: sum_n f(n) sinc(x - n) exp(-(x - n)^2 / (2 r^2)) over
+    the 2 _TAPS nearest n, r^2 = 2 _TAPS / pi for a band of half the Nyquist
+    rate (Qian, Proc. AMS 131 (2003) 1169-1176).
+    """
+    base = np.floor(x)
+    offs = np.arange(1 - _TAPS, _TAPS + 1)
+    u = (x - base)[:, None] - offs
+    weight = np.sinc(u) * np.exp(u * u * (-math.pi / (4.0 * _TAPS)))
+    cols = base.astype(np.intp)[:, None] + offs
+    return np.stack([(row[cols] * weight).sum(axis=1) for row in samples])
 
 
 def _em_kernel(
@@ -244,17 +420,23 @@ def _hurwitz_reflected(
     return val, err / scale + 1e-15
 
 
+def _check_hurwitz_domain(name: str, s: complex, a: float) -> None:
+    """The public domain of the Hurwitz kernel and the values reduced to it:
+    0 < a <= 1e4, -10 <= Re s <= 10 and |Im s| <= 1e5."""
+    if not (0.0 < a <= 1e4):
+        raise DomainError(f"{name} supports 0 < a <= 1e4, got a={a}")
+    if not (-10.0 <= s.real <= 10.0):
+        raise DomainError(f"{name} supports -10 <= Re s <= 10, got {s.real}")
+    if abs(s.imag) > 1e5:
+        raise DomainError(f"{name} supports |Im s| <= 1e5, got {s.imag}")
+
+
 def hurwitz_zeta_bounded(
     s: complex, a: float, prec: Precision = DEFAULT_PRECISION
 ) -> Tuple[complex, float]:
     """zeta_H(s, a) together with the Euler-Maclaurin remainder estimate."""
     s = complex(s)
-    if not (0.0 < a <= 1e4):
-        raise DomainError(f"hurwitz_zeta supports 0 < a <= 1e4, got a={a}")
-    if not (-10.0 <= s.real <= 10.0):
-        raise DomainError(f"hurwitz_zeta supports -10 <= Re s <= 10, got {s.real}")
-    if abs(s.imag) > 1e5:
-        raise DomainError(f"hurwitz_zeta supports |Im s| <= 1e5, got {s.imag}")
+    _check_hurwitz_domain("hurwitz_zeta", s, a)
     val, err = _hurwitz_scalar(s, a, prec)
     if err > 64.0 * prec.rel_tol:
         raise AccuracyError(
@@ -396,8 +578,9 @@ def lerch_zeta_bounded(
 ) -> Tuple[complex, float]:
     """zeta_L(s, a, lambda) with an error estimate.
 
-    Rational lambda: exact q-fold Hurwitz reduction (valid for all s != 1
-    carried by the continued zeta_H).  Other lambda: direct series, needs
+    Rational lambda: exact q-fold Hurwitz reduction, on hurwitz_zeta's domain
+    (0 < a <= 1e4, -10 <= Re s <= 10, |Im s| <= 1e5; DomainError outside).
+    Other lambda: direct series, needs
     Re s > 1; raises UnsupportedRegionError otherwise and AccuracyError when
     the Abel tail bound cannot reach the tolerance within ``_LERCH_MAX_TERMS``.
     """
@@ -407,6 +590,7 @@ def lerch_zeta_bounded(
     fr = _rational_twist(lam)
     if fr is None:
         return _lerch_direct(s, a, float(lam), prec)
+    _check_hurwitz_domain("lerch_zeta with rational lambda", s, a)
     if fr == 0:
         return _hurwitz_scalar(s, a, prec)
     total = 0.0 + 0.0j
@@ -505,7 +689,7 @@ def periodic_zeta(
     """Periodic zeta F(x, s) = sum_{m>=1} e^(2*pi*i*m*x) m^(-s).
 
     Rational x uses the exact reduction q^(-s) sum_{j=1}^{q} e(j p/q) zeta_H(s, j/q)
-    (valid on the whole continued plane); other x needs Re s > 1.
+    on hurwitz_zeta's domain in s (DomainError outside); other x needs Re s > 1.
     """
     s = complex(s)
     fr = _rational_twist(x)
@@ -513,6 +697,7 @@ def periodic_zeta(
         xf = float(x)
         val, _ = _lerch_direct(s, 1.0, xf, prec)
         return cmath.exp(2j * math.pi * (xf - math.floor(xf))) * val
+    _check_hurwitz_domain("periodic_zeta with rational x", s, 1.0)
     if fr == 0:
         return _hurwitz_scalar(s, 1.0, prec)[0]
     q, p = fr.denominator, fr.numerator

@@ -109,6 +109,21 @@ def test_kind_specific_flags(capsys, tmp_path, command, args):
         assert json.load(open(out + ".manifest.json"))["inputs"]["lambda"] is None
 
 
+def test_rank_flag_needs_kind_multi(capsys, tmp_path):
+    # a rank-3 prediction must not be compared against a rank-1 measurement
+    out = str(tmp_path / "ms.csv")
+    code, stdout, err = run_cli(capsys, "meansquare", "--kind", "hurwitz", "--r", "3",
+                                "--sigma", "2.5", "--a", "1", "--T-grid", "50,100,200,400",
+                                "--predict", "multi", "--out", out)
+    assert (code, stdout) == (2, "")
+    assert err == "error: --r applies only to --kind multi, not --kind hurwitz\n"
+    assert os.listdir(tmp_path) == []
+    code, stdout, err = run_cli(capsys, "eval", "--kind", "hurwitz", "--r", "3",
+                                "--sigma", "2", "--t", "0", "--a", "1")
+    assert (code, stdout) == (2, "")
+    assert err == "error: --r applies only to --kind multi, not --kind hurwitz\n"
+
+
 def test_meansquare_predict_needs_four_T_before_integrating(capsys, tmp_path):
     out = str(tmp_path / "ms.csv")
     code, stdout, err = run_cli(capsys, "meansquare", "--kind", "hurwitz",

@@ -132,9 +132,9 @@ _SIMPSON_LINE_SCRIPT = (
 
 
 def test_factored_line_reruns_are_bit_identical():
-    # the Simpson grid is exactly arithmetic, so it takes the factored phase
-    # path; that path uses no BLAS, so its bits do not depend on the number
-    # of threads a BLAS library would use
+    # the Simpson grid is exactly arithmetic, so it takes the type-1
+    # transform; its bincounts and FFTs use no BLAS, so its bits do not
+    # depend on the number of threads a BLAS library would use
     ts = simpson_nodes(1000.0, 1.0)[0]
     assert np.array_equal(ts, ts[0] + (ts[1] - ts[0]) * np.arange(ts.size))
     r1 = zc.hurwitz_line(0.5, 1.0, ts)
@@ -156,14 +156,15 @@ def test_factored_line_reruns_are_bit_identical():
 )
 def test_factored_phases_match_direct_path(line):
     ts = simpson_nodes(1000.0, 0.5)[0]
-    # the same nodes in an order that is not arithmetic take the direct path
+    # the same nodes in an order that is not arithmetic take the other
+    # transform, interpolated from an auxiliary grid
     order = np.roll(np.arange(ts.size), 1)
     direct = np.empty(ts.size, dtype=complex)
     direct[order] = line(ts[order])
     factored = line(ts)
-    # both paths round each phase argument t log(m+a) ~ 7e3 to its own ulp
-    # (9e-13), so they differ by up to ~3e-13 of max |value| here; that is
-    # the direct path's own error against mpmath, not the factored one's
+    # both transforms form their phases exactly, so they differ by ~6e-15
+    # of max |value| here; the direct matrix, which rounds each t log(m+a)
+    # ~ 7e3 to its ulp (9e-13), is ~2e-13 away from either
     assert np.max(np.abs(factored - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
@@ -238,6 +239,29 @@ def test_twist_denominator_cap_is_shared():
     req = MeanSquareRequest(kind="lerch", sigma=0.5, a=1.0, T=10.0, lam=lam)
     with pytest.raises(ResourceBudgetError):
         mean_square(req)
+
+
+def test_rational_twists_share_the_hurwitz_domain():
+    third = Fraction(1, 3)
+    for call in (lambda: zc.lerch_zeta_bounded(complex(12.5, 3.0), 0.7, third),
+                 lambda: zc.lerch_zeta_bounded(complex(0.5, 2e5), 0.7, third),
+                 lambda: zc.periodic_zeta(third, complex(0.5, 2e5))):
+        with pytest.raises(DomainError):
+            call()
+    # in-domain values keep the bits they had before the gate
+    for args, want in (
+        ((0.5 + 3j, 0.7, third), ("0x1.01990c5a79c42p+0", "0x1.ffb860c282941p+0")),
+        ((-2.5 + 40j, 0.3, Fraction(2, 5)), ("0x1.87c11da863dc7p+9", "-0x1.8a98a7aecb89dp+12")),
+        ((9.5 - 7j, 2.5, 0), ("0x1.4d0c21377f94ep-13", "0x1.a648de0a46ebfp-16")),
+    ):
+        got = zc.lerch_zeta_bounded(*args)[0]
+        assert (got.real.hex(), got.imag.hex()) == want
+    for args, want in (
+        ((third, 0.5 + 2j), ("-0x1.225df98cf582dp+0", "0x1.445902a40cb9ep-1")),
+        ((Fraction(3, 4), -1.5 + 10j), ("-0x1.270be0573ef05p+2", "-0x1.0c2aa24828cd7p+1")),
+    ):
+        got = zc.periodic_zeta(*args)
+        assert (got.real.hex(), got.imag.hex()) == want
 
 
 def test_periodic_zeta_frozen_value():
