@@ -10,17 +10,10 @@ not of I(T) itself.  Any failing suite prints its details below its line.
 
 import tempfile
 
-from zetaline.verify import (
-    coefficient_identity_suite,
-    default_verification_suites,
-    functional_equation_suite,
-)
+from zetaline.verify import run_suites
 
 with tempfile.TemporaryDirectory() as out:
-    records = [
-        coefficient_identity_suite(out_dir=out),
-        functional_equation_suite(out_dir=out),
-    ] + default_verification_suites(out_dir=out)
+    records = run_suites("all", out)
 
     width = max(len(r.suite) for r in records)
     for rec in records:

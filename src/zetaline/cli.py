@@ -39,15 +39,7 @@ from .meanvalue import (
     residual_report,
     write_measurements_csv,
 )
-from .verify import (
-    coefficient_identity_suite,
-    comparability,
-    default_verification_suites,
-    envelope_suites,
-    functional_equation_suite,
-    mv_suite,
-    oscillatory_suite,
-)
+from .verify import SUITES, run_suites
 from .zetacore import (
     DEFAULT_PRECISION,
     Precision,
@@ -61,16 +53,6 @@ EXIT_DOMAIN = 2
 EXIT_ACCURACY = 3
 EXIT_RESOURCE = 4
 EXIT_IO = 5
-
-SUITE_CHOICES = (
-    "envelopes",
-    "mv",
-    "comparability",
-    "oscillatory",
-    "coefficients",
-    "funceq",
-    "all",
-)
 
 
 def _parse_lambda(text: str) -> Fraction:
@@ -95,9 +77,11 @@ def _precision(ns) -> Precision:
 
 def _kind_args(ns) -> dict:
     """The keyword --kind adds, checked: lam (default 1), r, w, or none for
-    hurwitz; --r with any kind but multi is a domain error."""
-    if ns.r is not None and ns.kind != "multi":
-        raise DomainError(f"--r applies only to --kind multi, not --kind {ns.kind}")
+    hurwitz; --lambda, --r or --w with any other kind is a domain error."""
+    for flag, value, kind in (("--lambda", ns.lam, "lerch"), ("--r", ns.r, "multi"),
+                              ("--w", ns.w, "barnes")):
+        if value is not None and ns.kind != kind:
+            raise DomainError(f"{flag} applies only to --kind {kind}, not --kind {ns.kind}")
     if ns.kind == "lerch":
         return {"lam": ns.lam if ns.lam is not None else Fraction(1)}
     if ns.kind == "multi":
@@ -239,33 +223,15 @@ def cmd_meansquare(ns, argv: Sequence[str]) -> int:
 # verify
 
 
-def _run_suites(ns, out_dir: str):
-    seeds = range(20) if ns.seed is None else (ns.seed,)
-    if ns.suite == "envelopes":
-        return envelope_suites(out_dir)
-    if ns.suite == "mv":
-        return [mv_suite(seeds=seeds, out_dir=out_dir)]
-    if ns.suite == "comparability":
-        return [comparability(2, 1.0, (1.0, 2.0), 1.5, out_dir=out_dir)]
-    if ns.suite == "oscillatory":
-        return [oscillatory_suite(out_dir=out_dir)]
-    if ns.suite == "coefficients":
-        return [coefficient_identity_suite(out_dir=out_dir)]
-    if ns.suite == "funceq":
-        return [functional_equation_suite(out_dir=out_dir)]
-    return [
-        coefficient_identity_suite(out_dir=out_dir),
-        functional_equation_suite(out_dir=out_dir),
-    ] + default_verification_suites(out_dir)
-
-
 def cmd_verify(ns, argv: Sequence[str]) -> int:
     if ns.out is None:
         print("error: --out DIR is required", file=sys.stderr)
         return EXIT_IO
+    if ns.seed is not None and ns.suite not in ("mv", "all"):
+        raise DomainError(f"--seed applies only to --suite mv or all, not --suite {ns.suite}")
     t0 = time.perf_counter()
     os.makedirs(ns.out, exist_ok=True)
-    records = _run_suites(ns, ns.out)
+    records = run_suites(ns.suite, ns.out, None if ns.seed is None else (ns.seed,))
     outputs: List[str] = []
     for rec in records:
         outputs.extend(rec.artifacts)
@@ -299,32 +265,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
+        # the function, its line and its evaluation tolerance: eval and meansquare
+        p.add_argument("--kind", required=True, choices=("hurwitz", "lerch", "multi", "barnes"))
+        p.add_argument("--sigma", type=float, required=True)
+        p.add_argument("--a", type=float, required=True)
+        p.add_argument("--lambda", dest="lam", type=_parse_lambda, default=None,
+                       metavar="P/Q", help="twist parameter for --kind lerch")
+        p.add_argument("--r", type=int, default=None, help="rank for --kind multi")
+        p.add_argument("--w", type=_parse_floats, default=None,
+                       metavar="F,F,...", help="weights for --kind barnes")
         p.add_argument("--rel-tol", type=float, default=None,
                        help="target relative tolerance for evaluations")
 
     p_eval = sub.add_parser("eval", help="evaluate one zeta value")
-    p_eval.add_argument("--kind", required=True,
-                        choices=("hurwitz", "lerch", "multi", "barnes"))
-    p_eval.add_argument("--sigma", type=float, required=True)
-    p_eval.add_argument("--t", type=float, required=True)
-    p_eval.add_argument("--a", type=float, required=True)
-    p_eval.add_argument("--lambda", dest="lam", type=_parse_lambda, default=None,
-                        metavar="P/Q", help="twist parameter for --kind lerch")
-    p_eval.add_argument("--r", type=int, default=None, help="rank for --kind multi")
-    p_eval.add_argument("--w", type=_parse_floats, default=None,
-                        metavar="F,F,...", help="weights for --kind barnes")
     common(p_eval)
+    p_eval.add_argument("--t", type=float, required=True)
     p_eval.set_defaults(func=cmd_eval)
 
     p_ms = sub.add_parser("meansquare", help="mean square along a vertical line")
-    p_ms.add_argument("--kind", required=True,
-                      choices=("hurwitz", "lerch", "multi", "barnes"))
-    p_ms.add_argument("--sigma", type=float, required=True)
-    p_ms.add_argument("--a", type=float, required=True)
-    p_ms.add_argument("--lambda", dest="lam", type=_parse_lambda, default=None,
-                      metavar="P/Q")
-    p_ms.add_argument("--r", type=int, default=None)
-    p_ms.add_argument("--w", type=_parse_floats, default=None, metavar="F,F,...")
+    common(p_ms)
     p_ms.add_argument("--T", type=float, default=None)
     p_ms.add_argument("--T-grid", dest="T_grid", type=_parse_floats, default=None,
                       metavar="F,F,...")
@@ -333,15 +292,13 @@ def build_parser() -> argparse.ArgumentParser:
                       default="none",
                       help="compare against the mean-square prediction "
                            "(multi and thm11 are synonyms)")
-    common(p_ms)
     p_ms.set_defaults(func=cmd_meansquare)
 
     p_v = sub.add_parser("verify", help="run check suites")
-    p_v.add_argument("--suite", required=True, choices=SUITE_CHOICES)
+    p_v.add_argument("--suite", required=True, choices=(*SUITES, "all"))
     p_v.add_argument("--seed", type=int, default=None,
-                     help="single RNG seed for the mv suite (default: seeds 0..19)")
+                     help="single RNG seed for --suite mv or all (default: seeds 0..19)")
     p_v.add_argument("--out", default=None, help="directory for verdict artifacts")
-    common(p_v)
     p_v.set_defaults(func=cmd_verify)
     return parser
 

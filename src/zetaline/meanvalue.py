@@ -330,9 +330,6 @@ class Prediction:
         lt = math.log(T)
         return sum(c * T ** p * lt ** q for (c, p, q) in self.terms)
 
-    def error_envelope_at(self, T: float) -> float:
-        return T ** self.error_exponent * math.log(T) ** self.error_log
-
 
 def _hz_real(arg: float, a: float) -> float:
     return _hurwitz_scalar(complex(arg, 0.0), a, DEFAULT_PRECISION)[0].real

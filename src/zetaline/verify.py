@@ -18,6 +18,9 @@ Suites:
 * the damped oscillatory integral I(T) built from the truncated twisted
   series, checked for boundedness: it tends to a nonzero limit, at distance
   O(T^(-1/2) / log T).
+
+``SUITES`` maps each ``zetaline verify --suite`` name to the sweeps it runs,
+and ``run_suites`` runs one name or all of them in table order.
 """
 
 from __future__ import annotations
@@ -40,12 +43,7 @@ from .barnes import (
 from .combinatorics import reduction_coefficients
 from .errors import DomainError
 from .meanvalue import _interval_count, _simpson_prefix, grid_step, simpson_nodes
-from .zetacore import (
-    DEFAULT_PRECISION,
-    Precision,
-    functional_equation_residual,
-    hurwitz_line_batch,
-)
+from .zetacore import functional_equation_residual, hurwitz_line_batch
 
 __all__ = [
     "VerdictRecord",
@@ -61,7 +59,21 @@ __all__ = [
     "functional_equation_suite",
     "default_verification_suites",
     "envelope_suites",
+    "SUITES",
+    "run_suites",
 ]
+
+# generous pass thresholds, recorded in every verdict
+_ENVELOPE_THRESHOLD = 10.0
+_MV_THRESHOLD = 4.0
+_COMPARABILITY_THRESHOLD = 8.0
+_OSCILLATORY_SLACK = 1.25
+_COEFFICIENT_THRESHOLD = 1e-10
+_FUNCEQ_THRESHOLD = 1e-8
+# the mv suite's line sigma = 1/2 with a = 1, and its default seeds
+_MV_A = 1.0
+_MV_SIGMA = 0.5
+_MV_SEEDS = tuple(range(20))
 
 
 @dataclass(frozen=True)
@@ -107,16 +119,16 @@ def _finish(
     grid: str,
     observed: float,
     threshold: float,
-    passed: bool,
     out_dir: Optional[str],
-    params_text: str,
     header: Sequence[str],
     rows: Sequence[Sequence],
     details: Tuple[Tuple[str, float], ...] = (),
+    passed: Optional[bool] = None,
 ) -> VerdictRecord:
+    passed = observed <= threshold if passed is None else passed
     artifacts: Tuple[str, ...] = ()
     if out_dir is not None:
-        tag = _params_hash(params_text)
+        tag = _params_hash(grid)
         artifacts = (f"{suite}_{tag}.csv", f"{suite}_{tag}.json")
     record = VerdictRecord(
         suite=suite,
@@ -164,40 +176,54 @@ def _envelope_curve(r: int, sigma: float, ts: np.ndarray) -> np.ndarray:
     return ts ** (r - sigma - 0.5) * np.log(ts)
 
 
+def _envelope_sweep(
+    suite: str,
+    r: int,
+    head: str,
+    sigma_grid: Sequence[float],
+    t_max: float,
+    lines_at,
+    out_dir: Optional[str],
+) -> VerdictRecord:
+    """Worst sup over t of |line| / envelope; lines_at(sigmas, ts) -> lines."""
+    sigmas = [float(s) for s in sigma_grid]
+    if not sigmas:
+        raise DomainError("sigma_grid must be nonempty")
+    ts = _t_nodes(t_max)
+    rows: List[Sequence] = []
+    observed = 0.0
+    for sigma, line in zip(sigmas, lines_at(sigmas, ts)):
+        ratio = np.abs(line) / _envelope_curve(r, sigma, ts)
+        idx = int(np.argmax(ratio))
+        rows.append((sigma, float(ratio[idx]), float(ts[idx])))
+        observed = max(observed, float(ratio[idx]))
+    grid = f"{head}t in [2,{t_max}] ({ts.size} geometric nodes), sigma in {sigmas}"
+    return _finish(
+        suite,
+        grid,
+        observed,
+        _ENVELOPE_THRESHOLD,
+        out_dir,
+        ("sigma", "sup_ratio", "t_at_sup"),
+        rows,
+    )
+
+
 def envelope_hurwitz(
     a: float,
     sigma_grid: Sequence[float],
     t_max: float,
-    threshold: float = 10.0,
     out_dir: Optional[str] = None,
-    per_octave: int = 64,
-    prec: Precision = DEFAULT_PRECISION,
 ) -> VerdictRecord:
     """sup over t in [2, t_max] of |zeta_H(sigma+it, a)| / envelope(sigma, t)."""
-    sigmas = [float(s) for s in sigma_grid]
-    if not sigmas:
-        raise DomainError("sigma_grid must be nonempty")
-    ts = _t_nodes(t_max, per_octave)
-    rows_v = hurwitz_line_batch(sigmas, a, ts, prec)
-    rows: List[Sequence] = []
-    observed = 0.0
-    for sigma, line in zip(sigmas, rows_v):
-        ratio = np.abs(line) / _envelope_curve(1, sigma, ts)
-        idx = int(np.argmax(ratio))
-        sup = float(ratio[idx])
-        rows.append((sigma, sup, float(ts[idx])))
-        observed = max(observed, sup)
-    grid = f"a={a}, t in [2,{t_max}] ({ts.size} geometric nodes), sigma in {sigmas}"
-    return _finish(
+    return _envelope_sweep(
         "envelope_hurwitz",
-        grid,
-        observed,
-        threshold,
-        observed <= threshold,
+        1,
+        f"a={a}, ",
+        sigma_grid,
+        t_max,
+        lambda sigmas, ts: hurwitz_line_batch(sigmas, a, ts),
         out_dir,
-        grid,
-        ("sigma", "sup_ratio", "t_at_sup"),
-        rows,
     )
 
 
@@ -208,56 +234,34 @@ def envelope_multi(
     sigma_grid: Sequence[float],
     t_max: float,
     w: Optional[Sequence[float]] = None,
-    threshold: float = 10.0,
     out_dir: Optional[str] = None,
-    per_octave: int = 64,
-    prec: Precision = DEFAULT_PRECISION,
 ) -> VerdictRecord:
     """Same sup-ratio sweep for the rank-r function, unit or general weights."""
-    sigmas = [float(s) for s in sigma_grid]
-    if not sigmas:
-        raise DomainError("sigma_grid must be nonempty")
     if kind not in ("ones", "weights"):
         raise DomainError(f"kind must be 'ones' or 'weights', got {kind!r}")
     if kind == "ones":
-        bad = [s for s in sigmas if not (-2.0 <= s <= r + 2.0)]
+        bad = [float(s) for s in sigma_grid if not (-2.0 <= s <= r + 2.0)]
         if bad:
             raise DomainError(f"kind=ones sweeps need sigma in [-2, r+2], got {bad}")
+        lines_at = lambda sigmas, ts: [multi_hurwitz_line(x, a, r, ts) for x in sigmas]
     else:
         if w is None:
             raise DomainError("kind=weights needs w")
-        bad = [s for s in sigmas if s <= r - 1]
+        bad = [float(s) for s in sigma_grid if s <= r - 1]
         if bad:
             raise DomainError(
                 f"kind=weights sweeps need sigma > r-1 (truncation region), got {bad}"
             )
-    ts = _t_nodes(t_max, per_octave)
-    if kind == "ones":
-        lines = [multi_hurwitz_line(sigma, a, r, ts, prec) for sigma in sigmas]
-    else:
-        lines, _ = barnes_truncated_line_batch(sigmas, a, w, ts)
-    rows: List[Sequence] = []
-    observed = 0.0
-    for sigma, line in zip(sigmas, lines):
-        ratio = np.abs(line) / _envelope_curve(r, sigma, ts)
-        idx = int(np.argmax(ratio))
-        rows.append((sigma, float(ratio[idx]), float(ts[idx])))
-        observed = max(observed, float(ratio[idx]))
+        lines_at = lambda sigmas, ts: barnes_truncated_line_batch(sigmas, a, w, ts)[0]
     wtxt = "" if w is None else f", w={tuple(float(x) for x in w)}"
-    grid = (
-        f"r={r}, a={a}, kind={kind}{wtxt}, t in [2,{t_max}] "
-        f"({ts.size} geometric nodes), sigma in {sigmas}"
-    )
-    return _finish(
+    return _envelope_sweep(
         "envelope_multi",
-        grid,
-        observed,
-        threshold,
-        observed <= threshold,
+        r,
+        f"r={r}, a={a}, kind={kind}{wtxt}, ",
+        sigma_grid,
+        t_max,
+        lines_at,
         out_dir,
-        grid,
-        ("sigma", "sup_ratio", "t_at_sup"),
-        rows,
     )
 
 
@@ -295,6 +299,8 @@ CoeffSource = Union[str, Tuple[str, int]]
 
 
 def _coeff_vector(N: int, source: CoeffSource) -> Tuple[np.ndarray, str]:
+    if not (1 <= N <= 5000):
+        raise DomainError(f"N must lie in 1..5000, got {N}")
     if source == "ones":
         return np.ones(N, dtype=complex), "ones"
     if isinstance(source, str) and source.startswith("random:"):
@@ -311,11 +317,8 @@ def mv_inequality(
     a: float,
     sigma: float,
     coeff_source: CoeffSource,
-    threshold: float = 4.0,
     out_dir: Optional[str] = None,
 ) -> VerdictRecord:
-    if not (1 <= N <= 5000):
-        raise DomainError(f"N must lie in 1..5000, got {N}")
     v, tag = _coeff_vector(N, coeff_source)
     ratio = mv_ratio(v, a, sigma)
     grid = f"N={N}, a={a}, sigma={sigma}, coeffs={tag}"
@@ -323,10 +326,8 @@ def mv_inequality(
         "mv_inequality",
         grid,
         ratio,
-        threshold,
-        ratio <= threshold,
+        _MV_THRESHOLD,
         out_dir,
-        grid,
         ("N", "coeffs", "ratio"),
         [(N, tag, ratio)],
     )
@@ -334,35 +335,25 @@ def mv_inequality(
 
 def mv_suite(
     Ns: Sequence[int] = (10, 100, 1000),
-    a: float = 1.0,
-    sigma: float = 0.5,
-    seeds: Sequence[int] = tuple(range(20)),
-    threshold: float = 4.0,
+    seeds: Sequence[int] = _MV_SEEDS,
     out_dir: Optional[str] = None,
 ) -> VerdictRecord:
     """Worst ratio over unit-modulus random vectors (plus the all-ones vector)."""
     rows: List[Sequence] = []
     observed = 0.0
     for N in Ns:
-        if not (1 <= N <= 5000):
-            raise DomainError(f"N must lie in 1..5000, got {N}")
-        ones_ratio = mv_ratio(np.ones(N, dtype=complex), a, sigma)
-        rows.append((N, "ones", ones_ratio))
-        observed = max(observed, ones_ratio)
-        for seed in seeds:
-            v, tag = _coeff_vector(N, ("random", seed))
-            ratio = mv_ratio(v, a, sigma)
+        for source in ["ones"] + [("random", seed) for seed in seeds]:
+            v, tag = _coeff_vector(N, source)
+            ratio = mv_ratio(v, _MV_A, _MV_SIGMA)
             rows.append((N, tag, ratio))
             observed = max(observed, ratio)
-    grid = f"N in {list(Ns)}, a={a}, sigma={sigma}, seeds {list(seeds)} + ones"
+    grid = f"N in {list(Ns)}, a={_MV_A}, sigma={_MV_SIGMA}, seeds {list(seeds)} + ones"
     return _finish(
         "mv_inequality",
         grid,
         observed,
-        threshold,
-        observed <= threshold,
+        _MV_THRESHOLD,
         out_dir,
-        grid,
         ("N", "coeffs", "ratio"),
         rows,
     )
@@ -401,14 +392,11 @@ def comparability(
     w: Sequence[float],
     sigma: float,
     T_checkpoints: Sequence[float] = (100.0, 200.0, 400.0),
-    threshold: float = 8.0,
     out_dir: Optional[str] = None,
-    prec: Precision = DEFAULT_PRECISION,
 ) -> VerdictRecord:
     """Two-sided comparability of general-weight vs unit-weight values.
 
-    Pass-determining statistics, both required inside
-    [1/threshold, threshold]:
+    Pass-determining statistics, both required inside [1/8, 8]:
 
     * the pointwise ratio A_w(k)/A_1(k) of the truncated absolute-value
       sums over boxes 0 <= m_j <= k (the quantity the termwise comparison
@@ -427,7 +415,7 @@ def comparability(
     if not cps or cps[0] < 2.0:
         raise DomainError("checkpoints must be >= 2")
     ts, h, _ = simpson_nodes(cps[-1], a)
-    ones_line = multi_hurwitz_line(sigma, a, r, ts, prec)
+    ones_line = multi_hurwitz_line(sigma, a, r, ts)
     unit_w = all(abs(x - 1.0) <= 1e-12 for x in w)
     if unit_w:
         w_line = ones_line
@@ -461,41 +449,32 @@ def comparability(
         num = _simpson_prefix(sq_w, h, k)
         den = _simpson_prefix(sq_ones, h, k)
         ratio = num / den
-        ms_rows.append((1.0 + h * k, ratio))
+        ms_rows.append((f"meansq_ratio_T={1.0 + h * k}", ratio))
         ms_dev = max(ms_dev, ratio, 1.0 / ratio)
     observed = max(abs_max, 1.0 / abs_min, ms_dev)
-    passed = observed <= threshold and excl_frac < 0.01
     grid = (
         f"r={r}, a={a}, w={tuple(float(x) for x in w)}, sigma={sigma}, "
         f"t grid [1,{cps[-1]}] step {h}, checkpoints {cps}; raw modulus "
         f"ratio is diagnostic only (oscillating values pass near zero)"
     )
-    rows: List[Sequence] = [
+    ratios = [
         ("abs_sum_ratio_max", abs_max),
         ("abs_sum_ratio_min", abs_min),
         ("raw_modulus_ratio_max", raw_max),
         ("raw_modulus_ratio_min", raw_min),
-        ("excluded_points", float(excl)),
     ]
-    rows += [(f"meansq_ratio_T={T}", ratio) for T, ratio in ms_rows]
-    details = (
-        ("abs_sum_ratio_max", abs_max),
-        ("abs_sum_ratio_min", abs_min),
-        ("raw_modulus_ratio_max", raw_max),
-        ("raw_modulus_ratio_min", raw_min),
-        ("exclusion_fraction", excl_frac),
-    ) + tuple((f"meansq_ratio_T={T}", ratio) for T, ratio in ms_rows)
+    rows = ratios + [("excluded_points", float(excl))] + ms_rows
+    details = tuple(ratios + [("exclusion_fraction", excl_frac)] + ms_rows)
     return _finish(
         "comparability",
         grid,
         observed,
-        threshold,
-        passed,
+        _COMPARABILITY_THRESHOLD,
         out_dir,
-        grid,
         ("quantity", "value"),
         rows,
         details,
+        passed=observed <= _COMPARABILITY_THRESHOLD and excl_frac < 0.01,
     )
 
 
@@ -549,7 +528,6 @@ def oscillatory_suite(
     a: float = 0.5,
     lam: Union[float, Fraction] = 1,
     T_grid: Sequence[float] = (400.0, 1600.0, 5000.0),
-    slack: float = 1.25,
     out_dir: Optional[str] = None,
 ) -> VerdictRecord:
     """Boundedness check: |I(T)| should not increase (25% slack).
@@ -582,10 +560,8 @@ def oscillatory_suite(
         "oscillatory_integral",
         grid,
         worst_step,
-        slack,
-        worst_step <= slack,
+        _OSCILLATORY_SLACK,
         out_dir,
-        grid,
         ("T", "abs_I", "product"),
         list(zip(cps, moduli, products)),
         details,
@@ -600,7 +576,6 @@ def coefficient_identity_suite(
     r_max: int = 8,
     a_values: Sequence[float] = (0.3, 0.5, 1.0),
     n_max: int = 30,
-    threshold: float = 1e-10,
     out_dir: Optional[str] = None,
 ) -> VerdictRecord:
     """Defining identity of the reduction coefficients:
@@ -626,20 +601,14 @@ def coefficient_identity_suite(
         "coefficients",
         grid,
         observed,
-        threshold,
-        observed <= threshold,
+        _COEFFICIENT_THRESHOLD,
         out_dir,
-        grid,
         ("r", "a", "max_rel_err"),
         rows,
     )
 
 
-def functional_equation_suite(
-    threshold: float = 1e-8,
-    out_dir: Optional[str] = None,
-    prec: Precision = DEFAULT_PRECISION,
-) -> VerdictRecord:
+def functional_equation_suite(out_dir: Optional[str] = None) -> VerdictRecord:
     """Reflection-formula residuals on a 50-point grid (two a values times
     a 5x5 grid with Re s in [2,4], Im s in [-3,3])."""
     a_values = (Fraction(1, 3), Fraction(1, 2))
@@ -650,7 +619,7 @@ def functional_equation_suite(
     for a in a_values:
         for re in res:
             for im in ims:
-                resid = functional_equation_residual(complex(re, im), a, 1, prec)
+                resid = functional_equation_residual(complex(re, im), a)
                 rows.append((str(a), re, im, resid))
                 observed = max(observed, resid)
     grid = "a in [1/3, 1/2], s on 5x5 grid Re in [2,4] x Im in [-3,3]"
@@ -658,17 +627,15 @@ def functional_equation_suite(
         "funceq",
         grid,
         observed,
-        threshold,
-        observed <= threshold,
+        _FUNCEQ_THRESHOLD,
         out_dir,
-        grid,
         ("a", "s_re", "s_im", "residual"),
         rows,
     )
 
 
 # ---------------------------------------------------------------------------
-# default bundle
+# suite table
 
 
 def envelope_suites(out_dir: Optional[str] = None) -> List[VerdictRecord]:
@@ -696,11 +663,29 @@ def envelope_suites(out_dir: Optional[str] = None) -> List[VerdictRecord]:
     ]
 
 
+# suite name -> (out_dir, mv seeds) -> records; entries look the suite
+# functions up when called, and "all" runs them in this order
+SUITES = {
+    "coefficients": lambda out_dir, seeds: [coefficient_identity_suite(out_dir=out_dir)],
+    "funceq": lambda out_dir, seeds: [functional_equation_suite(out_dir=out_dir)],
+    "envelopes": lambda out_dir, seeds: envelope_suites(out_dir),
+    "mv": lambda out_dir, seeds: [mv_suite(seeds=seeds, out_dir=out_dir)],
+    "comparability": lambda out_dir, seeds: [comparability(2, 1.0, (1.0, 2.0), 1.5, out_dir=out_dir)],
+    "oscillatory": lambda out_dir, seeds: [oscillatory_suite(out_dir=out_dir)],
+}
+
+
+def run_suites(name: str, out_dir: Optional[str] = None, seeds=None) -> List[VerdictRecord]:
+    """Run SUITES[name], or every suite in table order for "all"; seeds
+    replaces the mv suite's default seeds 0..19."""
+    if name != "all" and name not in SUITES:
+        raise DomainError(f"unknown suite {name!r}, expected one of {[*SUITES, 'all']}")
+    seeds = _MV_SEEDS if seeds is None else tuple(seeds)
+    names = SUITES if name == "all" else (name,)
+    return [rec for n in names for rec in SUITES[n](out_dir, seeds)]
+
+
 def default_verification_suites(out_dir: Optional[str] = None) -> List[VerdictRecord]:
-    """The standard sweep bundle: envelopes, bilinear inequality,
-    comparability, oscillatory boundedness."""
-    return envelope_suites(out_dir) + [
-        mv_suite(out_dir=out_dir),
-        comparability(2, 1.0, (1.0, 2.0), 1.5, out_dir=out_dir),
-        oscillatory_suite(out_dir=out_dir),
-    ]
+    """The table after its two structural suites: envelopes, bilinear
+    inequality, comparability, oscillatory boundedness."""
+    return [rec for n in list(SUITES)[2:] for rec in SUITES[n](out_dir, _MV_SEEDS)]

@@ -4,7 +4,7 @@ Evaluation strategy
 -------------------
 ``zeta_H(s, a) = sum_{m>=0} (m+a)^(-s)`` is continued by Euler-Maclaurin:
 an explicit sum of ``N`` terms, the integral tail ``(N+a)^(1-s)/(s-1)``, the
-midpoint term ``(N+a)^(-s)/2`` and ``em_depth`` Bernoulli corrections
+midpoint term ``(N+a)^(-s)/2`` and ``_EM_DEPTH`` Bernoulli corrections
 
     B(2k)/(2k)! * s(s+1)...(s+2k-2) * (N+a)^(-s-2k+1),
 
@@ -87,28 +87,27 @@ class Precision:
     """Tuning knobs of the Euler-Maclaurin kernel.
 
     rel_tol:            target relative accuracy (>= 1e-13).
-    em_depth:           number of Bernoulli correction terms.
     shift_count_factor: N = ceil(factor * (|t| + 10)) explicit terms.
     """
 
     rel_tol: float = 1e-12
-    em_depth: int = 12
     shift_count_factor: float = 1.2
 
     def __post_init__(self):
         if not (1e-13 <= self.rel_tol <= 1e-2):
             raise DomainError("Precision.rel_tol must lie in [1e-13, 1e-2]")
-        if not (2 <= self.em_depth <= 30):
-            raise DomainError("Precision.em_depth must lie in [2, 30]")
         if not (0.6 <= self.shift_count_factor <= 8.0):
             raise DomainError("Precision.shift_count_factor must lie in [0.6, 8]")
 
 
 DEFAULT_PRECISION = Precision()
 
-# B(2k)/(2k)! as floats, k = 0..30 (index k)
+# number of Bernoulli correction terms in the Euler-Maclaurin kernel
+_EM_DEPTH = 12
+
+# B(2k)/(2k)! as floats, k = 0.._EM_DEPTH+1 (index k)
 _BERN_FAC = tuple(
-    float(bernoulli(2 * k) / math.factorial(2 * k)) for k in range(0, 32)
+    float(bernoulli(2 * k) / math.factorial(2 * k)) for k in range(_EM_DEPTH + 2)
 )
 
 # chunk size target for the (t x m) phase matrix, in elements
@@ -323,7 +322,6 @@ def _em_kernel(
     a: float,
     ts: np.ndarray,
     n_terms: int,
-    prec: Precision,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Euler-Maclaurin evaluation of zeta_H(sigma_i + i t_j, a).
 
@@ -335,7 +333,6 @@ def _em_kernel(
     """
     ts = np.asarray(ts, dtype=float)
     N = n_terms
-    depth = prec.em_depth
 
     base = np.arange(N, dtype=float) + a
     logv = np.log(base)
@@ -359,12 +356,12 @@ def _em_kernel(
         poch = s.astype(complex)
         zpow = np.exp(-(s + 1.0) * logz)
         invz2 = z ** -2.0
-        for k in range(1, depth + 1):
+        for k in range(1, _EM_DEPTH + 1):
             val += (_BERN_FAC[k] * zpow) * poch
             poch = poch * ((s + (2 * k - 1)) * (s + 2 * k))
             zpow = zpow * invz2
-        omitted = _BERN_FAC[depth + 1] * np.abs(poch) * (
-            z ** (-sig - 2 * depth - 1)
+        omitted = _BERN_FAC[_EM_DEPTH + 1] * np.abs(poch) * (
+            z ** (-sig - 2 * _EM_DEPTH - 1)
         )
         top = max(a ** (-sig), z ** (-sig))
         rounding = 1e-16 * math.log2(N + 2.0) * top
@@ -382,7 +379,7 @@ def _hurwitz_scalar(s: complex, a: float, prec: Precision) -> Tuple[complex, flo
     if abs(s - 1.0) < _POLE_GUARD:
         raise PoleError("zeta_H has a pole at s = 1", distance=abs(s - 1.0))
     n = _shift_count(prec, abs(s.imag))
-    vals, errs, cancels = _em_kernel([s.real], a, np.array([s.imag]), n, prec)
+    vals, errs, cancels = _em_kernel([s.real], a, np.array([s.imag]), n)
     val, err = complex(vals[0, 0]), float(errs[0])
     if s.real < -0.5 and float(cancels[0]) > 8.0 * prec.rel_tol:
         # cancellation-dominated corner (deeply negative sigma, small |t|):
@@ -486,7 +483,7 @@ def hurwitz_line_batch(
         return np.zeros((len(sigmas), 0), dtype=complex)
     t_scale = float(np.max(np.abs(ts)))
     n = n_terms if n_terms is not None else _shift_count(prec, t_scale)
-    vals, errs, _ = _em_kernel(list(sigmas), a, ts, n, prec)
+    vals, errs, _ = _em_kernel(list(sigmas), a, ts, n)
     worst = float(np.max(errs)) if len(sigmas) else 0.0
     if worst > 64.0 * prec.rel_tol:
         raise AccuracyError(

@@ -1,5 +1,7 @@
 """Command line interface: output format, exit codes, artifacts."""
 
+import argparse
+import filecmp
 import functools
 import json
 import os
@@ -12,7 +14,7 @@ import pytest
 import zetaline.cli
 import zetaline.verify
 from zetaline.barnes import multi_hurwitz_bounded
-from zetaline.cli import main
+from zetaline.cli import build_parser, main
 from zetaline.meanvalue import mean_square_grid
 from zetaline.verify import oscillatory_suite
 from zetaline.zetacore import lerch_zeta_bounded, riemann_zeta
@@ -122,6 +124,24 @@ def test_rank_flag_needs_kind_multi(capsys, tmp_path):
                                 "--sigma", "2", "--t", "0", "--a", "1")
     assert (code, stdout) == (2, "")
     assert err == "error: --r applies only to --kind multi, not --kind hurwitz\n"
+
+
+def test_twist_and_weight_flags_need_their_kind(capsys, tmp_path):
+    # neither flag changes a Hurwitz value, so accepting them would misreport the run
+    code, stdout, err = run_cli(capsys, "eval", "--kind", "hurwitz", "--lambda", "1/3",
+                                "--w", "1,2", "--sigma", "2", "--t", "0", "--a", "1")
+    assert (code, stdout) == (2, "")
+    assert err == "error: --lambda applies only to --kind lerch, not --kind hurwitz\n"
+    code, stdout, err = run_cli(capsys, "meansquare", "--kind", "hurwitz", "--lambda", "2/7",
+                                "--w", "3", "--sigma", "2", "--a", "1", "--T", "50",
+                                "--out", str(tmp_path / "ms.csv"))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: --lambda applies only to --kind lerch")
+    code, _, err = run_cli(capsys, "eval", "--kind", "multi", "--r", "2", "--w", "1,2",
+                           "--sigma", "3", "--t", "0", "--a", "1")
+    assert code == 2
+    assert err == "error: --w applies only to --kind barnes, not --kind multi\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_meansquare_predict_needs_four_T_before_integrating(capsys, tmp_path):
@@ -263,12 +283,48 @@ def test_verify_envelopes_writes_only_listed_files(capsys, tmp_path, monkeypatch
 def test_verify_failing_suite_exits_one(capsys, tmp_path, monkeypatch):
     # at a=1 the oscillatory integral grows like T^(sigma/2), so the
     # boundedness check genuinely fails; the CLI must say so
-    monkeypatch.setattr(zetaline.cli, "oscillatory_suite",
+    monkeypatch.setattr(zetaline.verify, "oscillatory_suite",
                         functools.partial(oscillatory_suite, a=1.0))
     code, stdout, _ = run_cli(capsys, "verify", "--suite", "oscillatory",
                               "--out", str(tmp_path))
     assert code == 1
     assert stdout.startswith("FAIL oscillatory_integral")
+
+
+def test_verify_seed_reaches_mv_under_all(capsys, tmp_path, monkeypatch):
+    t_nodes = zetaline.verify._t_nodes
+    monkeypatch.setattr(zetaline.verify, "_t_nodes",
+                        lambda t_max, per_octave=64: t_nodes(min(t_max, 40.0), per_octave))
+    d_all, d_mv = tmp_path / "all", tmp_path / "mv"
+    assert run_cli(capsys, "verify", "--suite", "all", "--seed", "3", "--out", str(d_all))[0] == 0
+    assert run_cli(capsys, "verify", "--suite", "mv", "--seed", "3", "--out", str(d_mv))[0] == 0
+    mv_names = sorted(n for n in os.listdir(d_mv) if n.startswith("mv_inequality_"))
+    assert len(mv_names) == 2
+    match, mismatch, errors = filecmp.cmpfiles(d_all, d_mv, mv_names, shallow=False)
+    assert (match, mismatch, errors) == (mv_names, [], [])
+
+
+def test_verify_seed_on_a_seedless_suite_is_domain_error(capsys, tmp_path):
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "verify", "--suite", "envelopes", "--seed", "3",
+                                "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == "error: --seed applies only to --suite mv or all, not --suite envelopes\n"
+    assert not out.exists()
+
+
+def test_verify_rejects_rel_tol(capsys, tmp_path):
+    # no suite takes a tolerance, so the flag would be recorded and ignored
+    code, stdout, _ = run_cli(capsys, "verify", "--suite", "funceq", "--rel-tol", "1e-3",
+                              "--out", str(tmp_path))
+    assert (code, stdout) == (2, "")
+    assert os.listdir(tmp_path) == []
+
+
+def test_verify_suite_choices_are_the_table():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+    assert tuple(suite.choices) == (*zetaline.verify.SUITES, "all")
 
 
 def test_verify_missing_out_is_io_error(capsys):

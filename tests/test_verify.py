@@ -20,6 +20,7 @@ from zetaline.verify import (
     mv_suite,
     oscillatory_integral,
     oscillatory_suite,
+    run_suites,
     _envelope_curve,
     _t_nodes,
 )
@@ -315,6 +316,11 @@ def test_oscillatory_domain_guards():
         oscillatory_suite(T_grid=(400.0, 1600.0))
     with pytest.raises(DomainError):
         oscillatory_suite(T_grid=(400.0, 500.0, 600.0))  # not geometric
+
+
+def test_run_suites_rejects_unknown_name():
+    with pytest.raises(DomainError):
+        run_suites("envelope")
 
 
 # ---------------------------------------------------------------------------
