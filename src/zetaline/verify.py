@@ -74,6 +74,8 @@ _FUNCEQ_THRESHOLD = 1e-8
 _MV_A = 1.0
 _MV_SIGMA = 0.5
 _MV_SEEDS = tuple(range(20))
+# nodes per octave of the envelope sweeps' geometric t-grid
+_PER_OCTAVE = 64
 
 
 @dataclass(frozen=True)
@@ -159,13 +161,13 @@ def _finish(
 # growth envelopes
 
 
-def _t_nodes(t_max: float, per_octave: int = 64) -> np.ndarray:
-    """Nested geometric grid 2*2^(k/per_octave): extending t_max only adds
+def _t_nodes(t_max: float) -> np.ndarray:
+    """Nested geometric grid 2*2^(k/_PER_OCTAVE): extending t_max only adds
     nodes, so observed suprema are monotone in t_max."""
     if not (2.0 <= t_max <= 1e4):
         raise DomainError(f"sweeps need 2 <= t_max <= 1e4, got {t_max}")
-    count = int(math.floor(per_octave * math.log2(t_max / 2.0)))
-    return 2.0 * np.exp2(np.arange(count + 1, dtype=float) / per_octave)
+    count = int(math.floor(_PER_OCTAVE * math.log2(t_max / 2.0)))
+    return 2.0 * np.exp2(np.arange(count + 1, dtype=float) / _PER_OCTAVE)
 
 
 def _envelope_curve(r: int, sigma: float, ts: np.ndarray) -> np.ndarray:
@@ -366,24 +368,19 @@ def mv_suite(
 def _abs_sum_curve(r: int, a: float, w: Sequence[float], sigma: float, x: int) -> np.ndarray:
     """A(k) = sum over the box 0 <= m_j <= k of (a + m.w)^(-sigma), k = 1..x.
 
-    Grown shell by shell; this is the positive majorant series whose
-    two-sided termwise comparison carries the pointwise comparability
-    argument (the oscillating values themselves can vanish).
+    Summed shell by shell, shell k holding the m with max m_j = k; this is
+    the positive majorant series whose two-sided termwise comparison
+    carries the pointwise comparability argument (the oscillating values
+    themselves can vanish).
     """
+    m = np.arange(0, x + 1, dtype=float)
     if r == 1:
-        vals = (a + w[0] * np.arange(0, x + 1, dtype=float)) ** (-sigma)
-        return np.cumsum(vals)[1:]
+        return np.cumsum((a + w[0] * m) ** (-sigma))[1:]
     if r != 2:
         raise DomainError("absolute-sum comparability sweep supports r in {1, 2}")
-    out = np.empty(x, dtype=float)
-    total = float(a ** (-sigma))
-    for k in range(1, x + 1):
-        m = np.arange(0, k + 1, dtype=float)
-        row = np.sum((a + w[0] * m + w[1] * k) ** (-sigma))
-        col = np.sum((a + w[0] * k + w[1] * m[:-1]) ** (-sigma))
-        total += float(row + col)
-        out[k - 1] = total
-    return out
+    box = np.add.outer(a + w[0] * m, w[1] * m) ** (-sigma)
+    shell = np.maximum.outer(np.arange(x + 1), np.arange(x + 1))
+    return np.cumsum(np.bincount(shell.ravel(), box.ravel()))[1:]
 
 
 def comparability(

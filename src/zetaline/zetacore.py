@@ -34,7 +34,14 @@ grids of the mean squares) is the mode set of one type-1 transform, and any
 other grid (the geometric sweeps) is interpolated from a uniform auxiliary
 grid.  Single points, short grids and rows whose amplitudes do not decay
 (sigma <= 0) take the direct phase matrix; `_phase_sum` states the rule.
-The transform costs O(N + nodes) plus an FFT instead of nodes x N.  All
+The transform costs O(N + nodes) plus an FFT instead of nodes x N.  Each
+term spreads onto the 2 _SPREAD grid points around its cell with Gaussian
+weights.  Where the terms are dense on the grid, as the ~90,000 lattice
+values of a Barnes box are (over 41 per occupied cell), the terms of one
+cell share those weights instead: the Hermite expansion
+exp(-C (u + x)^2) = sum_p g_p(x) u^p of the Gaussian in the offset u from
+the cell's centre carries the cell's first _MOMENTS moments sum amp u^p to
+its grid points (`_grid_sums` states the rule, `_MOMENTS` the bound).  All
 reductions are bincounts, FFTs and numpy pairwise sums in a fixed order,
 with no BLAS, so repeated runs are bit-identical.
 """
@@ -248,6 +255,15 @@ def _grid_sums(logv, amps, t_a: float, step: float, j_lo: int, j_hi: int) -> np.
     an FFT and the factor sqrt(pi/tau) e^(k^2 tau) / Mr then give the modes.
     tau comes from the achieved oversampling Mr / 2K.
 
+    Spreading has two paths with the same weights.  Sparse sources each pay
+    the 2 _SPREAD weights of their cell (`_spread_taps`).  Sources dense on
+    the grid (the lattice values of a Barnes box) share them: a run of
+    sources in one cell is reduced to _MOMENTS moments, which the Hermite
+    expansion of the Gaussian carries to the cell's taps (`_spread_moments`).
+    Per row and real or imaginary part the taps cost 2 _SPREAD N and the
+    moments 2 _MOMENTS N + 2 _SPREAD _MOMENTS G for G runs; the cheaper
+    one is taken, i.e. the moments when N > ~41 G.
+
     The phases carry no rounding of their own: t_a logv, (c step) logv and
     each source's grid position step logv Mr / (2 pi) are formed exactly
     (Dekker's product, 2 pi to 40 digits), so mode j sees j theta_m to about
@@ -258,27 +274,24 @@ def _grid_sums(logv, amps, t_a: float, step: float, j_lo: int, j_hi: int) -> np.
     mr = _fft_length(4 * K)
     ratio = mr / (2.0 * K)
     tau = math.pi * _SPREAD / (4.0 * K * K * ratio * (ratio - 0.5))
-    pre = _exact_phase(t_a, logv) * _exact_phase(c * step, logv)
+    pre = _exact_phase(c * step, logv)
+    if t_a:
+        pre = _exact_phase(t_a, logv) * pre
     cells = Fraction(step) * mr / _TWO_PI
     cells_hi = float(cells)
     pos, pos_err = _two_product(cells_hi, logv)
     pos_err += float(cells - Fraction(cells_hi)) * logv
     cell = np.floor(pos)
     frac = (pos - cell) + pos_err
+    # grid cell first + l sits at offset l - (_SPREAD - 1) from the source
     first = (cell.astype(np.intp) - (_SPREAD - 1)) % mr
-    taps = np.arange(2 * _SPREAD)
+    coef = -((math.pi / mr) ** 2) / tau
     grids = np.zeros((len(amps), mr + 2 * _SPREAD), dtype=complex)
-    block = max(1, _CHUNK_ELEMS // (8 * _SPREAD))
-    for start in range(0, logv.size, block):
-        sl = slice(start, start + block)
-        # grid cell first + l sits at offset l - (_SPREAD - 1) from the source
-        dist = frac[sl, None] + ((_SPREAD - 1) - taps)
-        weight = np.exp(dist * dist * (-((math.pi / mr) ** 2) / tau))
-        idx = (first[sl, None] + taps).ravel()
-        for g, amp in zip(grids, amps):
-            src = amp[sl] * pre[sl]
-            g.real += np.bincount(idx, (weight * src.real[:, None]).ravel(), g.size)
-            g.imag += np.bincount(idx, (weight * src.imag[:, None]).ravel(), g.size)
+    runs = np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))
+    if _MOMENTS * logv.size + 2 * _SPREAD * _MOMENTS * runs.size < 2 * _SPREAD * logv.size:
+        _spread_moments(grids, amps, pre, frac - 0.5, first[runs], runs, coef)
+    else:
+        _spread_taps(grids, amps, pre, frac, first, coef)
     ks = np.arange(j_lo - c, j_hi + 1 - c)
     scale = np.exp((ks * ks) * tau) * (math.sqrt(math.pi / tau) / mr)
     out = np.empty((len(amps), ks.size), dtype=complex)
@@ -286,6 +299,52 @@ def _grid_sums(logv, amps, t_a: float, step: float, j_lo: int, j_hi: int) -> np.
         g[: 2 * _SPREAD] += g[mr:]
         out[i] = np.fft.fft(g[:mr])[ks % mr] * scale
     return out
+
+
+def _spread_taps(grids, amps, pre, frac, first, coef: float) -> None:
+    """Each source adds amp pre exp(coef dist^2) to its 2 _SPREAD taps."""
+    taps = np.arange(2 * _SPREAD)
+    block = max(1, _CHUNK_ELEMS // (8 * _SPREAD))
+    for start in range(0, frac.size, block):
+        sl = slice(start, start + block)
+        dist = frac[sl, None] + ((_SPREAD - 1) - taps)
+        weight = np.exp(dist * dist * coef)
+        idx = (first[sl, None] + taps).ravel()
+        for g, amp in zip(grids, amps):
+            src = amp[sl] * pre[sl]
+            g.real += np.bincount(idx, (weight * src.real[:, None]).ravel(), g.size)
+            g.imag += np.bincount(idx, (weight * src.imag[:, None]).ravel(), g.size)
+
+
+# Dense spreading: with u = frac - 1/2 and the taps at x_l = _SPREAD - 1/2 - l,
+# exp(-C (u + x_l)^2) = sum_p g_p(x_l) u^p, g_p(x) = e^(-C x^2) (-sqrt C)^p
+# H_p(sqrt C x) / p!, with C = -coef = pi (ratio - 1/2) / (ratio _SPREAD).
+# Cramer's bound |H_p(y)| e^(-y^2/2) <= 1.0865 sqrt(2^p p!), |u| <= 1/2 and
+# C < pi / _SPREAD (any oversampling ratio) bound the terms past _MOMENTS by
+# 1.09 sum_{p >= _MOMENTS} (pi / (2 _SPREAD))^(p/2) / sqrt(p!) = 1.09 sum
+# 0.313^p / sqrt(p!) ~ 1.2e-17 of each weight: 18 is the least count below
+# the ~4e-17 that _SPREAD meets (17 gives 1.7e-16).
+_MOMENTS = 18
+
+
+def _spread_moments(grids, amps, pre, u, first, runs, coef: float) -> None:
+    """Each run of sources in one cell adds its moments sum src u^p, through
+    the table g_p(x_l), to the 2 _SPREAD taps of that cell."""
+    x = (_SPREAD - 0.5) - np.arange(2 * _SPREAD)
+    table = np.empty((_MOMENTS, x.size))
+    table[0] = np.exp(x * x * coef)
+    table[1] = (2.0 * coef) * x * table[0]
+    for p in range(1, _MOMENTS - 1):  # H_(p+1)(y) = 2y H_p(y) - 2p H_(p-1)(y)
+        table[p + 1] = (2.0 * coef / (p + 1)) * (x * table[p] + table[p - 1])
+    idx = (first[:, None] + np.arange(x.size)).ravel()
+    for g, amp in zip(grids, amps):
+        src = amp * pre
+        for part, dest in ((src.real.copy(), g.real), (src.imag.copy(), g.imag)):
+            taps = np.zeros((runs.size, x.size))
+            for p in range(_MOMENTS):
+                taps += np.add.reduceat(part, runs)[:, None] * table[p]
+                part *= u
+            dest += np.bincount(idx, taps.ravel(), g.size)
 
 
 def _two_product(a, b):

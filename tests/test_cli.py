@@ -269,7 +269,7 @@ def test_verify_envelopes_writes_only_listed_files(capsys, tmp_path, monkeypatch
     # the file list does not depend on the sweep length; shorten the sweeps
     t_nodes = zetaline.verify._t_nodes
     monkeypatch.setattr(zetaline.verify, "_t_nodes",
-                        lambda t_max, per_octave=64: t_nodes(min(t_max, 40.0), per_octave))
+                        lambda t_max: t_nodes(min(t_max, 40.0)))
     code, stdout, _ = run_cli(capsys, "verify", "--suite", "envelopes",
                               "--out", str(tmp_path))
     assert code == 0
@@ -294,7 +294,7 @@ def test_verify_failing_suite_exits_one(capsys, tmp_path, monkeypatch):
 def test_verify_seed_reaches_mv_under_all(capsys, tmp_path, monkeypatch):
     t_nodes = zetaline.verify._t_nodes
     monkeypatch.setattr(zetaline.verify, "_t_nodes",
-                        lambda t_max, per_octave=64: t_nodes(min(t_max, 40.0), per_octave))
+                        lambda t_max: t_nodes(min(t_max, 40.0)))
     d_all, d_mv = tmp_path / "all", tmp_path / "mv"
     assert run_cli(capsys, "verify", "--suite", "all", "--seed", "3", "--out", str(d_all))[0] == 0
     assert run_cli(capsys, "verify", "--suite", "mv", "--seed", "3", "--out", str(d_mv))[0] == 0

@@ -3,7 +3,9 @@
 Long evenly spaced grids (the Simpson grids) take the type-1 transform, other
 long grids (the geometric sweeps) the interpolated one, and rows whose
 amplitudes do not decay or short grids the direct phase matrix; see
-`zetacore._phase_sum`.
+`zetacore._phase_sum`.  The transform spreads sources that are dense on its
+grid (Barnes lattice values) by cell moments, other sources by taps; see
+`zetacore._grid_sums`.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import sys
 import numpy as np
 import pytest
 
+from zetaline import barnes as bz
 from zetaline import zetacore as zc
 from zetaline.barnes import barnes_truncated_line, barnes_truncated_line_batch
 from zetaline.meanvalue import simpson_nodes
@@ -85,6 +88,68 @@ def test_rule_sends_non_decaying_rows_and_short_grids_to_the_direct_path():
     for short in (ts[:1], ts[:4]):
         got = zc._phase_sum(logv, [decaying], short)
         assert got.tobytes() == zc._direct_sum(logv, [decaying], short).tobytes()
+
+
+def test_dense_barnes_batch_matches_exact_phase_sums():
+    # 246,016 lattice values fall into ~830 FFT cells: the moment path
+    w, sigmas = (1.0, math.sqrt(2.0)), [1.25, 1.5, 1.75]
+    ts = _t_nodes(500.0)
+    rows, _ = barnes_truncated_line_batch(sigmas, 1.0, w, ts)
+    x = bz.TruncationPolicy().x_for(float(np.max(ts)))
+    profile = bz.build_lattice_profile(1.0, w, x)
+    logv, counts = np.log(profile.values), profile.counts.astype(float)
+    nodes = np.unique(np.concatenate([np.arange(4), np.linspace(0, ts.size - 1, 12).astype(int)]))
+    for row, sigma in zip(rows, sigmas):
+        amps = counts * np.exp(-sigma * logv)
+        total = math.fsum(amps)
+        for k in nodes:
+            terms = amps * zc._exact_phase(float(ts[k]), logv)
+            ref = complex(math.fsum(terms.real), math.fsum(terms.imag))
+            ref += bz._boundary_corrections(np.array([sigma + 1j * ts[k]]), 1.0, w, x)[0]
+            assert abs(row[k] - ref) <= 2e-15 * total, (sigma, float(ts[k]), abs(row[k] - ref) / total)
+
+
+def test_rule_sends_dense_boxes_to_moments_and_lines_to_taps(monkeypatch):
+    taken = []
+    for name in ("_spread_taps", "_spread_moments"):
+        spread = getattr(zc, name)
+        monkeypatch.setattr(zc, name, lambda *args, _spread=spread, _name=name:
+                            taken.append(_name) or _spread(*args))
+    w = (1.0, math.sqrt(2.0))
+    box, _ = barnes_truncated_line(1.5, 1.0, w, _t_nodes(300.0))
+    line = zc.hurwitz_line(0.5, 1.0, simpson_nodes(1000.0, 1.0)[0])
+    assert taken == ["_spread_moments", "_spread_taps"]
+    # priced at 2 _SPREAD moments the moments never win, so every call
+    # spreads by taps: the line keeps its bits, the box moves by rounding
+    monkeypatch.setattr(zc, "_MOMENTS", 2 * zc._SPREAD)
+    assert zc.hurwitz_line(0.5, 1.0, simpson_nodes(1000.0, 1.0)[0]).tobytes() == line.tobytes()
+    by_taps, _ = barnes_truncated_line(1.5, 1.0, w, _t_nodes(300.0))
+    assert taken[2:] == ["_spread_taps", "_spread_taps"]
+    assert by_taps.tobytes() != box.tobytes()
+    assert np.max(np.abs(by_taps - box)) <= 1e-12 * np.max(np.abs(box))
+
+
+def test_moment_path_does_not_need_sorted_sources(monkeypatch):
+    # descending sources form the same runs of cells, in the other order
+    ts = _t_nodes(300.0)
+    x = bz.TruncationPolicy().x_for(float(np.max(ts)))
+    profile = bz.build_lattice_profile(1.0, (1.0, math.sqrt(2.0)), x)
+    logv = np.log(profile.values)
+    amps = profile.counts * np.exp(-1.5 * logv)
+    plan = zc._transform_plan(logv, ts)[:4]
+    monkeypatch.setattr(zc, "_spread_taps", None)  # both orders take the moments
+    up = zc._grid_sums(logv, [amps], *plan)
+    down = zc._grid_sums(logv[::-1].copy(), [amps[::-1].copy()], *plan)
+    assert np.max(np.abs(up - down)) <= 1e-15 * np.sum(amps)
+
+
+def test_moment_count_is_the_least_that_meets_the_spreading_target():
+    # Cramer's bound on the Hermite remainder, at c <= pi / _SPREAD
+    def remainder(m):
+        q = math.sqrt(math.pi / (2 * zc._SPREAD))
+        return 1.09 * math.fsum(q ** p / math.sqrt(math.factorial(p)) for p in range(m, m + 40))
+    target = math.exp(-0.75 * math.pi * zc._SPREAD)
+    assert remainder(zc._MOMENTS) <= target < remainder(zc._MOMENTS - 1)
 
 
 _GEOMETRIC_LINE_SCRIPT = (

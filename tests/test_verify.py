@@ -21,6 +21,7 @@ from zetaline.verify import (
     oscillatory_integral,
     oscillatory_suite,
     run_suites,
+    _abs_sum_curve,
     _envelope_curve,
     _t_nodes,
 )
@@ -212,6 +213,17 @@ def test_comparability_general_weights():
 def test_comparability_rank_one():
     rec = comparability(1, 0.7, (2.0,), 0.5, T_checkpoints=(50.0,))
     assert rec.passed
+
+
+@pytest.mark.parametrize("r, w", [(1, (math.sqrt(2.0),)), (2, (1.0, math.sqrt(2.0)))])
+def test_abs_sum_curve_matches_brute_force_boxes(r, w):
+    a, sigma, x = 1.0, 1.5, 12
+    curve = _abs_sum_curve(r, a, w, sigma, x)
+    for k in range(1, x + 1):
+        box = [(a + sum(wj * mj for wj, mj in zip(w, m))) ** -sigma
+               for m in np.ndindex(*([k + 1] * r))]
+        ref = math.fsum(box)
+        assert abs(curve[k - 1] - ref) <= 1e-15 * ref, (k, curve[k - 1], ref)
 
 
 def test_comparability_domain_guards():
