@@ -7,7 +7,7 @@ The package is organised bottom-up:
   coefficients reducing unit-weight multiple sums to Hurwitz zeta values.
 * :mod:`zetaline.zetacore` - Hurwitz and Lerch zeta evaluation on vertical
   lines (Euler-Maclaurin continuation), functional-equation residuals,
-  gamma modulus, generalized Euler constants.
+  generalized Euler constants.
 * :mod:`zetaline.barnes` - multiple zeta functions: exact unit-weight
   reduction, convergent-region direct evaluation, truncated-lattice strip
   evaluation with reusable lattice profiles.

@@ -19,7 +19,8 @@ Two families are implemented.
   explicit window below the expansion's validity threshold recurses, and the
   infinite tail of each window is an exact Hurwitz power sum.  The truncated
   evaluator sums the finite box ``{0..floor(x)}^r`` (through a compressed
-  ``LatticeProfile``) and adds the alternating boundary corrections
+  ``LatticeProfile``, whose counts are an integer convolution for
+  commensurate weights) and adds the alternating boundary corrections
 
       - sum_{E nonempty} (-1)^(#E) (a + x*sum_{e in E} w_e)^(r-s)
         / ((s-1)...(s-r) w_1...w_r),
@@ -321,8 +322,11 @@ def barnes_direct(
 class LatticeProfile:
     """Compressed multiset of box-lattice values a + m.w, m in {0..floor(x)}^r.
 
-    values are strictly increasing; counts[i] is the number of lattice points
-    sharing values[i] (within relative 1e-12); total == (floor(x)+1)^r.
+    values are strictly increasing and counts[i] is the number of lattice
+    points at values[i]; total == (floor(x)+1)^r.  For commensurate weights
+    w = q n (integer n) the values are a + q k, one per level k = n.m that
+    some box point reaches, rounded once from a; otherwise a value stands
+    for the points whose chained sums agree within relative 1e-12.
     """
 
     r: int
@@ -335,6 +339,35 @@ class LatticeProfile:
     @property
     def total(self) -> int:
         return int(self.counts.sum())
+
+
+def _commensurate(w: Sequence[float]) -> Tuple[float, Tuple[int, ...]]:
+    """(q, n) with w_j = q n_j exactly: q is the gcd of the weights as fractions.
+
+    Every float is a dyadic rational, so this always succeeds; irrational
+    weights show up as n_j near 2^52, whose level span is out of reach.
+    """
+    ratios = [x.as_integer_ratio() for x in w]
+    den = max(d for _, d in ratios)  # powers of two
+    nums = [p * (den // d) for p, d in ratios]
+    g = math.gcd(*nums)
+    return g / den, tuple(v // g for v in nums)
+
+
+def _box_convolve(d: np.ndarray, n: int, k: int) -> np.ndarray:
+    """d convolved with the indicator of {0, n, ..., (k-1) n}, exact in int64.
+
+    A running sum of width k along each residue class mod n: O(len) instead
+    of np.convolve's O(len * k).
+    """
+    if k == 1:
+        return d  # a one-point box; padding to a multiple of n could be huge
+    size = d.size + n * (k - 1)
+    e = np.zeros(-(-size // n) * n, dtype=np.int64)
+    e[: d.size] = d
+    c = np.cumsum(e.reshape(-1, n), axis=0)
+    c[k:] -= c[:-k]
+    return c.ravel()[:size]
 
 
 def _compress(values: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -357,28 +390,42 @@ def build_lattice_profile(
     x: float,
     budget: int = 100_000_000,
 ) -> LatticeProfile:
-    """Group the box lattice one coordinate at a time, compressing en route."""
+    """The box lattice's distinct values and their counts.
+
+    Commensurate weights w = q n take the denumerant: the counts d(k) of the
+    levels k = n.m are the r-fold convolution of the indicators of
+    {0, n_j, ..., floor(x) n_j}, over sum n_j floor(x) + 1 levels.  That path
+    is taken when it is no longer than the box of (floor(x)+1)^r points and
+    within budget.  Otherwise the box is grouped one coordinate at a time,
+    sorting and compressing en route, within budget points.
+    """
     w = _check_weights(w)
     if a <= 0:
         raise DomainError(f"build_lattice_profile needs a > 0, got a={a}")
     if x < 0:
         raise DomainError(f"build_lattice_profile needs x >= 0, got x={x}")
     k = int(math.floor(x)) + 1
-    if k ** len(w) > budget:
-        raise ResourceBudgetError(
-            f"lattice profile would hold {k ** len(w)} points, budget is {budget}"
-        )
-    values = np.array([a], dtype=float)
-    counts = np.array([1], dtype=np.uint64)
-    for wj in w:
-        if values.size * k > budget:
+    points = k ** len(w)
+    q, n = _commensurate(w)
+    if sum(n) * (k - 1) + 1 <= min(budget, points) and points < 2 ** 63:
+        d = np.ones(1, dtype=np.int64)
+        for nj in n:
+            d = _box_convolve(d, nj, k)
+        levels = np.flatnonzero(d)
+        values = a + q * levels.astype(float)
+        counts = d[levels].astype(np.uint64)
+    else:
+        if points > budget:
             raise ResourceBudgetError(
-                f"intermediate lattice profile exceeds the {budget}-point budget"
+                f"lattice profile would hold {points} points, budget is {budget}"
             )
-        offs = wj * np.arange(k, dtype=float)
-        values = np.add.outer(values, offs).ravel()
-        counts = np.repeat(counts, k)
-        values, counts = _compress(values, counts)
+        values = np.array([a], dtype=float)
+        counts = np.array([1], dtype=np.uint64)
+        for wj in w:
+            offs = wj * np.arange(k, dtype=float)
+            values = np.add.outer(values, offs).ravel()
+            counts = np.repeat(counts, k)
+            values, counts = _compress(values, counts)
     return LatticeProfile(
         r=len(w), a=a, w=w, x=float(x), values=values, counts=counts
     )

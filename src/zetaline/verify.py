@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .barnes import (
+    _commensurate,
     barnes_truncated_line,
     barnes_truncated_line_batch,
     build_lattice_profile,  # unused here; benchmarks/tracing.py patches it at this name
@@ -378,8 +379,15 @@ def _abs_sum_curve(r: int, a: float, w: Sequence[float], sigma: float, x: int) -
         return np.cumsum((a + w[0] * m) ** (-sigma))[1:]
     if r != 2:
         raise DomainError("absolute-sum comparability sweep supports r in {1, 2}")
-    box = np.add.outer(a + w[0] * m, w[1] * m) ** (-sigma)
-    shell = np.maximum.outer(np.arange(x + 1), np.arange(x + 1))
+    i = np.arange(x + 1)
+    q, n = _commensurate(w)
+    if sum(n) * x + 1 <= (x + 1) ** 2:
+        # w = q n: one power per level a + q k, gathered by k = n.m
+        levels = np.arange(sum(n) * x + 1, dtype=float)
+        box = ((a + q * levels) ** (-sigma))[np.add.outer(n[0] * i, n[1] * i)]
+    else:
+        box = np.add.outer(a + w[0] * m, w[1] * m) ** (-sigma)
+    shell = np.maximum.outer(i, i)
     return np.cumsum(np.bincount(shell.ravel(), box.ravel()))[1:]
 
 

@@ -73,15 +73,11 @@ __all__ = [
     "hurwitz_line",
     "hurwitz_line_batch",
     "riemann_zeta",
-    "hurwitz_finite_approx",
     "lerch_zeta",
     "lerch_zeta_bounded",
     "periodic_zeta",
     "functional_equation_residual",
     "gen_euler_constant",
-    "log_abs_gamma",
-    "gamma_abs",
-    "gamma_envelope",
 ]
 
 LambdaLike = Union[int, float, Fraction]
@@ -552,44 +548,6 @@ def hurwitz_line_batch(
     return vals
 
 
-def hurwitz_finite_approx(
-    s: complex, a: float, x: float, prec: Precision = DEFAULT_PRECISION
-) -> Tuple[complex, float]:
-    """Finite main sum plus integral tail: sum_{m<=x}(m+a)^(-s) + x^(1-s)/(s-1).
-
-    Valid for 0 < Re s <= 2 and x >= |Im s|/pi; the returned bound
-    2*(1+|s|/sigma)*x^(-sigma) dominates the discarded remainder.
-    """
-    s = complex(s)
-    sigma = s.real
-    if a <= 0:
-        raise DomainError("hurwitz_finite_approx needs a > 0")
-    if not (0.0 < sigma <= 2.0):
-        raise DomainError(
-            f"hurwitz_finite_approx is supported for 0 < Re s <= 2, got {sigma}"
-        )
-    if abs(s - 1.0) < _POLE_GUARD:
-        raise PoleError("hurwitz_finite_approx: pole at s = 1", distance=abs(s - 1.0))
-    if x < max(abs(s.imag) / math.pi, 1.0):
-        raise DomainError(
-            f"hurwitz_finite_approx needs x >= max(|t|/pi, 1), got x={x}"
-        )
-    count = int(math.floor(x)) + 1
-    if count > 100_000_000:
-        raise ResourceBudgetError(
-            f"hurwitz_finite_approx: {count} terms exceed the 1e8 budget"
-        )
-    total = 0.0 + 0.0j
-    block = 1 << 20
-    for lo in range(0, count, block):
-        hi = min(count, lo + block)
-        mm = np.arange(lo, hi, dtype=float) + a
-        total += complex(np.sum(np.exp((-s) * np.log(mm))))
-    total += cmath.exp((1.0 - s) * math.log(x)) / (s - 1.0)
-    bound = 2.0 * (1.0 + abs(s) / sigma) * x ** (-sigma)
-    return total, bound
-
-
 # ---------------------------------------------------------------------------
 # Lerch zeta
 
@@ -827,7 +785,7 @@ def functional_equation_residual(
 
 
 # ---------------------------------------------------------------------------
-# Gamma modulus and generalized Euler constants
+# Stirling log Gamma and generalized Euler constants
 
 # B(2k) / (2k (2k-1)) for the Stirling series of log Gamma
 _LGAM_COEF = tuple(
@@ -854,43 +812,6 @@ def _lgamma_right(z: complex) -> complex:
         + ser
         + shift
     )
-
-
-def log_abs_gamma(s: complex) -> float:
-    """log |Gamma(s)| everywhere away from the poles 0, -1, -2, ..."""
-    s = complex(s)
-    if s.real >= 0.5:
-        return _lgamma_right(s).real
-    # reflection on the modulus: |Gamma(s)| = pi / (|sin(pi s)| |Gamma(1-s)|)
-    if abs(s.imag) < _POLE_GUARD and abs(s.real - round(s.real)) < _POLE_GUARD:
-        raise PoleError(
-            "log_abs_gamma: pole at nonpositive integer",
-            distance=abs(s.real - round(s.real)) + abs(s.imag),
-        )
-    x, y = s.real, s.imag
-    ay = abs(y)
-    # log |sin(pi s)| computed in a overflow-free form
-    if ay > 1.0:
-        log_sin = (
-            math.pi * ay
-            - math.log(2.0)
-            + math.log(abs(1.0 - cmath.exp(-2.0 * math.pi * ay + 2j * math.pi * x)))
-        )
-    else:
-        log_sin = math.log(abs(cmath.sin(math.pi * s)))
-    return math.log(math.pi) - log_sin - _lgamma_right(1.0 - s).real
-
-
-def gamma_abs(s: complex) -> float:
-    """|Gamma(s)|; underflows to 0 gracefully for large |Im s|."""
-    return math.exp(log_abs_gamma(s))
-
-
-def gamma_envelope(sigma: float, t: float) -> float:
-    """Asymptotic modulus envelope sqrt(2*pi) t^(sigma-1/2) e^(-pi t/2), t > 0."""
-    if t <= 0:
-        raise DomainError("gamma_envelope needs t > 0")
-    return math.sqrt(2.0 * math.pi) * t ** (sigma - 0.5) * math.exp(-math.pi * t / 2.0)
 
 
 def gen_euler_constant(a: float) -> float:

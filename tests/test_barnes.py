@@ -156,6 +156,42 @@ def test_profile_budget():
         bz.build_lattice_profile(0.5, (1.0, math.e, math.pi), 2000.0, budget=10**6)
 
 
+@pytest.mark.parametrize("a", [1.0, 0.5, 0.3])
+@pytest.mark.parametrize(
+    "w, q, n",
+    [
+        ((1.0, 2.0), 1.0, (1, 2)),
+        ((2.0, 3.0), 1.0, (2, 3)),
+        ((0.5, 1.5), 0.5, (1, 3)),
+        ((1.0, 1.0, 2.0), 1.0, (1, 1, 2)),
+        ((1.0, 2.0, 3.0), 1.0, (1, 2, 3)),
+    ],
+)
+def test_commensurate_profile_matches_brute_force_box(w, q, n, a):
+    # every point m of the box sits at level k = n.m, i.e. at a + q k
+    x = 7.5
+    p = bz.build_lattice_profile(a, w, x)
+    m = np.indices([8] * len(w)).reshape(len(w), -1)
+    levels, counts = np.unique(np.dot(n, m), return_counts=True)
+    assert np.array_equal(p.counts, counts)
+    assert np.array_equal(p.values, a + q * levels)
+    # the same multiset as the box's float sums, to the last bit or two
+    sums = np.sort(a + np.dot(w, m))
+    spread = np.repeat(p.values, counts)
+    assert np.all(np.abs(spread - sums) <= 2.5e-16 * sums)
+
+
+def test_rank_three_box_budget_counts_levels_for_commensurate_weights():
+    # (1, 2, 3) at x = 2000 is 8e9 box points but 12,001 levels
+    p = bz.build_lattice_profile(1.0, (1.0, 2.0, 3.0), 2000.0)
+    assert p.total == 2001 ** 3
+    assert p.values.size == 6 * 2000 + 1
+    # partitions of k into parts 1, 2, 3
+    assert p.counts[:8].tolist() == [1, 1, 2, 3, 4, 5, 7, 8]
+    with pytest.raises(ResourceBudgetError):
+        bz.build_lattice_profile(1.0, (1.0, math.e, math.pi), 2000.0)
+
+
 # ---------------------------------------------------------------------------
 # barnes_truncated
 

@@ -215,7 +215,10 @@ def test_comparability_rank_one():
     assert rec.passed
 
 
-@pytest.mark.parametrize("r, w", [(1, (math.sqrt(2.0),)), (2, (1.0, math.sqrt(2.0)))])
+@pytest.mark.parametrize(
+    "r, w",
+    [(1, (math.sqrt(2.0),)), (2, (1.0, math.sqrt(2.0))), (2, (1.0, 1.0)), (2, (1.0, 2.0))],
+)
 def test_abs_sum_curve_matches_brute_force_boxes(r, w):
     a, sigma, x = 1.0, 1.5, 12
     curve = _abs_sum_curve(r, a, w, sigma, x)
@@ -224,6 +227,17 @@ def test_abs_sum_curve_matches_brute_force_boxes(r, w):
                for m in np.ndindex(*([k + 1] * r))]
         ref = math.fsum(box)
         assert abs(curve[k - 1] - ref) <= 1e-15 * ref, (k, curve[k - 1], ref)
+
+
+@pytest.mark.parametrize("w", [(1.0, 1.0), (1.0, 2.0)])
+def test_abs_sum_curve_by_levels_keeps_the_box_sum_bits_at_a_1(w):
+    # comparability's curves: one power per level, the same floats as the box
+    a, sigma, x = 1.0, 1.5, 400
+    m = np.arange(x + 1, dtype=float)
+    box = np.add.outer(a + w[0] * m, w[1] * m) ** (-sigma)
+    shell = np.maximum.outer(np.arange(x + 1), np.arange(x + 1))
+    want = np.cumsum(np.bincount(shell.ravel(), box.ravel()))[1:]
+    assert np.array_equal(_abs_sum_curve(2, a, w, sigma, x), want)
 
 
 def test_comparability_domain_guards():

@@ -295,25 +295,7 @@ def test_reflection_residual_rejects_bad_domain():
 
 
 # ---------------------------------------------------------------------------
-# gamma helpers and Euler constants
-
-
-def test_gamma_abs_spot_values():
-    assert zc.gamma_abs(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
-    assert zc.gamma_abs(complex(0.5, 14.0)) == pytest.approx(
-        7.0543248879354582e-10, rel=1e-12
-    )
-    assert zc.gamma_abs(complex(-2.3, 0.7)) == pytest.approx(
-        0.28183612747625417, rel=1e-12
-    )
-    with pytest.raises(PoleError):
-        zc.gamma_abs(-3.0)
-
-
-def test_gamma_envelope_matches_modulus():
-    for sig in (-1.0, 0.5, 2.0):
-        ratio = zc.gamma_envelope(sig, 50.0) / zc.gamma_abs(complex(sig, 50.0))
-        assert abs(ratio - 1.0) < 0.01
+# generalized Euler constants
 
 
 def test_gen_euler_constant_values():
@@ -322,25 +304,6 @@ def test_gen_euler_constant_values():
     assert zc.gen_euler_constant(0.25) == pytest.approx(4.2274535333762654, rel=1e-14)
     with pytest.raises(DomainError):
         zc.gen_euler_constant(0.0)
-
-
-# ---------------------------------------------------------------------------
-# finite main-sum approximation
-
-
-def test_finite_approx_within_stated_bound():
-    for s, x in ((complex(0.5, 30.0), 200.0), (complex(1.5, 100.0), 500.0)):
-        got, bound = zc.hurwitz_finite_approx(s, 0.7, x)
-        want = zc.hurwitz_zeta(s, 0.7)
-        assert abs(got - want) <= bound
-        assert abs(got - want) <= 0.05 * bound  # bound is far from tight here
-
-
-def test_finite_approx_guards():
-    with pytest.raises(DomainError):
-        zc.hurwitz_finite_approx(complex(2.5, 1.0), 0.7, 100.0)
-    with pytest.raises(DomainError):
-        zc.hurwitz_finite_approx(complex(0.5, 400.0), 0.7, 100.0)
 
 
 # ---------------------------------------------------------------------------
