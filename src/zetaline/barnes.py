@@ -15,21 +15,26 @@ Two families are implemented.
 * ``barnes_direct`` / ``barnes_truncated_line``: general positive weights ``w``.
   The direct evaluator needs ``Re s > r + 0.1`` and collapses the lattice one
   coordinate at a time: level j holds an asymptotic expansion
-  ``F_j(y) ~ sum_c coef_c y^(-(s+c))`` composed through Euler-Maclaurin, the
-  explicit window below the expansion's validity threshold recurses, and the
-  infinite tail of each window is an exact Hurwitz power sum.  The truncated
-  evaluator sums the finite box ``{0..floor(x)}^r`` (through a compressed
-  ``LatticeProfile``, whose counts are an integer convolution for
-  commensurate weights) and adds the alternating boundary corrections
+  ``F_j(y) ~ sum_c coef_c y^(-(s+c))``, composed through Euler-Maclaurin from
+  the unit series of level 0, the explicit window below the expansion's
+  validity threshold recurses, and the infinite tail of each window is an
+  exact Hurwitz power sum.  The truncated evaluator sums the finite box
+  ``{0..floor(x)}^r`` (through a compressed ``LatticeProfile``, whose counts
+  are an integer convolution for commensurate weights) and adds the
+  alternating boundary corrections
 
       - sum_{E nonempty} (-1)^(#E) (a + x*sum_{e in E} w_e)^(r-s)
         / ((s-1)...(s-r) w_1...w_r),
 
   which approximates the full sum with error O(x^(r-1-Re s)) as long as
-  ``|t| <= 2*pi*x / c_factor`` (the policy window).  The scalar
+  ``|t| <= x``; by default the box is x = max(1, max |t|).  The scalar
   ``barnes_truncated`` is the one-point line, and the line is the one-row
   ``barnes_truncated_line_batch``, whose rows at several real parts share
   one phase matrix.
+
+``barnes_zeta_bounded`` picks between the two: the direct sum for
+``Re s > r + 0.1``, the truncated strip formula for ``r - 1 < Re s`` with
+``|t| >= 2``, and DomainError elsewhere.
 """
 
 from __future__ import annotations
@@ -67,6 +72,7 @@ __all__ = [
     "multi_hurwitz",
     "multi_hurwitz_bounded",
     "multi_hurwitz_line",
+    "barnes_zeta_bounded",
     "barnes_direct",
     "barnes_truncated",
     "barnes_truncated_line",
@@ -162,27 +168,11 @@ def multi_hurwitz_line(
 
 
 # ---------------------------------------------------------------------------
-# general weights, direct evaluation (Re s > r)
+# general weights, direct evaluation (Re s > r + 0.1)
 
 _EXP_DEPTH = 10  # Bernoulli orders per composition level
 _EXP_CAP = 24  # highest kept power shift c in y^(-(s+c))
 _ATOM_BUDGET = 2_000_000
-
-
-def _level_one_expansion(s: complex, w1: float) -> Dict[int, complex]:
-    """Large-y series of F_1(y) = w1^(-s) zeta_H(s, y/w1) in powers y^(-(s+c))."""
-    exp_: Dict[int, complex] = {}
-    exp_[-1] = 1.0 / ((s - 1.0) * w1)
-    exp_[0] = 0.5 + 0.0j
-    poch = s
-    for k in range(1, _EXP_DEPTH + 1):
-        c = 2 * k - 1
-        if c > _EXP_CAP:
-            break
-        bf = float(bernoulli(2 * k) / math.factorial(2 * k))
-        exp_[c] = bf * poch * w1 ** (2 * k - 1)
-        poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
-    return exp_
 
 
 def _compose_expansion(
@@ -216,7 +206,7 @@ class _DirectState:
     w: Tuple[float, ...]
     prec: Precision
     y_req: float
-    expansions: list  # expansions[j] = series of F_{j+1}
+    expansions: list  # expansions[j] = series of F_j; F_0(y) = y^(-s)
     atoms: int = 0
     err: float = 0.0
 
@@ -230,7 +220,7 @@ class _DirectState:
 
 def _expansion_eval(st: _DirectState, level: int, y: float) -> complex:
     """Evaluate F_level via its asymptotic series (valid for y >= y_req)."""
-    exp_ = st.expansions[level - 1]
+    exp_ = st.expansions[level]
     s = st.s
     logy = math.log(y)
     total = 0.0 + 0.0j
@@ -247,7 +237,7 @@ def _expansion_eval(st: _DirectState, level: int, y: float) -> complex:
 
 def _tail_power_sums(st: _DirectState, level: int, base_y: float, wj: float) -> complex:
     """sum_{m>=0} F_level(base_y + m wj) via exact Hurwitz power sums."""
-    exp_ = st.expansions[level - 1]
+    exp_ = st.expansions[level]
     s = st.s
     total = 0.0 + 0.0j
     top = 0.0
@@ -266,12 +256,7 @@ def _tail_power_sums(st: _DirectState, level: int, base_y: float, wj: float) -> 
 
 def _F(st: _DirectState, level: int, y: float) -> complex:
     if level == 1:
-        w1 = st.w[0]
-        hv, he = _hurwitz_scalar(st.s, y / w1, st.prec)
-        val = cmath.exp(-st.s * math.log(w1)) * hv
-        st.err += abs(he * val)
-        st.spend()
-        return val
+        return _tail_power_sums(st, 0, y, st.w[0])
     if y >= st.y_req:
         return _expansion_eval(st, level, y)
     wj = st.w[level - 1]
@@ -306,9 +291,9 @@ def barnes_direct(
         )
     wmax = max(w)
     y_req = 0.75 * (abs(s.imag) + abs(s.real) + 2 * _EXP_CAP + 4.0) * wmax
-    expansions = [_level_one_expansion(s, w[0])]
-    for j in range(1, r):
-        expansions.append(_compose_expansion(expansions[-1], s, w[j]))
+    expansions = [{0: 1.0}]
+    for wj in w:
+        expansions.append(_compose_expansion(expansions[-1], s, wj))
     st = _DirectState(s=s, w=w, prec=prec, y_req=y_req, expansions=expansions)
     val = _F(st, r, a)
     return val, st.err
@@ -316,6 +301,8 @@ def barnes_direct(
 
 # ---------------------------------------------------------------------------
 # lattice profiles and the truncated representation
+
+_PROFILE_BUDGET = 100_000_000  # box points, or convolution levels
 
 
 @dataclass(frozen=True)
@@ -388,7 +375,6 @@ def build_lattice_profile(
     a: float,
     w: Sequence[float],
     x: float,
-    budget: int = 100_000_000,
 ) -> LatticeProfile:
     """The box lattice's distinct values and their counts.
 
@@ -396,8 +382,8 @@ def build_lattice_profile(
     levels k = n.m are the r-fold convolution of the indicators of
     {0, n_j, ..., floor(x) n_j}, over sum n_j floor(x) + 1 levels.  That path
     is taken when it is no longer than the box of (floor(x)+1)^r points and
-    within budget.  Otherwise the box is grouped one coordinate at a time,
-    sorting and compressing en route, within budget points.
+    within _PROFILE_BUDGET.  Otherwise the box is grouped one coordinate at a
+    time, sorting and compressing en route, within _PROFILE_BUDGET points.
     """
     w = _check_weights(w)
     if a <= 0:
@@ -407,7 +393,7 @@ def build_lattice_profile(
     k = int(math.floor(x)) + 1
     points = k ** len(w)
     q, n = _commensurate(w)
-    if sum(n) * (k - 1) + 1 <= min(budget, points) and points < 2 ** 63:
+    if sum(n) * (k - 1) + 1 <= min(_PROFILE_BUDGET, points) and points < 2 ** 63:
         d = np.ones(1, dtype=np.int64)
         for nj in n:
             d = _box_convolve(d, nj, k)
@@ -415,9 +401,9 @@ def build_lattice_profile(
         values = a + q * levels.astype(float)
         counts = d[levels].astype(np.uint64)
     else:
-        if points > budget:
+        if points > _PROFILE_BUDGET:
             raise ResourceBudgetError(
-                f"lattice profile would hold {points} points, budget is {budget}"
+                f"lattice profile would hold {points} points, budget is {_PROFILE_BUDGET}"
             )
         values = np.array([a], dtype=float)
         counts = np.array([1], dtype=np.uint64)
@@ -431,30 +417,19 @@ def build_lattice_profile(
     )
 
 
-@dataclass(frozen=True)
 class TruncationPolicy:
-    """x(t) = c_factor * |t| / (2 pi); validity demands |t| <= 2 pi x / c_factor."""
+    """The box rule: x(t) = max(1, |t|), so that |t| <= x."""
 
-    c_factor: float = 2.0 * math.pi
-
-    def __post_init__(self):
-        if self.c_factor <= 0:
-            raise DomainError("TruncationPolicy.c_factor must be positive")
-
-    def x_for(self, t_max: float) -> float:
-        return max(1.0, self.c_factor * abs(t_max) / (2.0 * math.pi))
-
-    def t_limit(self, x: float) -> float:
-        return 2.0 * math.pi * x / self.c_factor
+    @staticmethod
+    def x_for(t_max: float) -> float:
+        return max(1.0, abs(t_max))
 
 
-def _check_truncation_window(
-    policy: TruncationPolicy, x: float, t_max: float
-) -> None:
-    if abs(t_max) > policy.t_limit(x) * (1.0 + 1e-9):
+def _check_truncation_window(x: float, t_max: float) -> None:
+    if abs(t_max) > x * (1.0 + 1e-9):
         raise TruncationValidityError(
-            f"truncated representation valid only for |t| <= {policy.t_limit(x):.6g} "
-            f"at x = {x:.6g}; got |t| = {abs(t_max):.6g}"
+            f"truncated representation valid only for |t| <= x = {x:.6g}; "
+            f"got |t| = {abs(t_max):.6g}"
         )
 
 
@@ -481,7 +456,6 @@ def barnes_truncated(
     a: float,
     w: Sequence[float],
     x: float,
-    policy: TruncationPolicy | None = None,
     profile: LatticeProfile | None = None,
 ) -> Tuple[complex, float]:
     """Box sum to floor(x) plus boundary corrections; error scale x^(r-1-sigma).
@@ -490,7 +464,7 @@ def barnes_truncated(
     """
     s = complex(s)
     vals, err = barnes_truncated_line(
-        s.real, a, w, np.array([s.imag]), x, policy, profile
+        s.real, a, w, np.array([s.imag]), x, profile
     )
     return complex(vals[0]), err
 
@@ -515,16 +489,15 @@ def barnes_truncated_line(
     w: Sequence[float],
     ts: np.ndarray,
     x: float | None = None,
-    policy: TruncationPolicy | None = None,
     profile: LatticeProfile | None = None,
 ) -> Tuple[np.ndarray, float]:
     """Truncated Barnes values on a t-grid sharing one lattice profile.
 
-    When x is omitted it is fixed from max |t| through the policy, so a whole
+    When x is omitted it is fixed from max |t| by the box rule, so a whole
     mean-square run reuses a single box.  The one-row case of
     `barnes_truncated_line_batch`.
     """
-    rows, errs = barnes_truncated_line_batch([sigma], a, w, ts, x, policy, profile)
+    rows, errs = barnes_truncated_line_batch([sigma], a, w, ts, x, profile)
     return rows[0], errs[0]
 
 
@@ -534,7 +507,6 @@ def barnes_truncated_line_batch(
     w: Sequence[float],
     ts: np.ndarray,
     x: float | None = None,
-    policy: TruncationPolicy | None = None,
     profile: LatticeProfile | None = None,
 ) -> Tuple[np.ndarray, list]:
     """Rows of truncated Barnes values at each sigma_i, with errs[i] = x^(r-1-sigma_i).
@@ -545,12 +517,10 @@ def barnes_truncated_line_batch(
     w = _check_weights(w)
     r = len(w)
     ts = np.asarray(ts, dtype=float)
-    if policy is None:
-        policy = TruncationPolicy()
     t_max = float(np.max(np.abs(ts))) if ts.size else 0.0
     if x is None:
-        x = policy.x_for(t_max)
-    _check_truncation_window(policy, x, t_max)
+        x = TruncationPolicy.x_for(t_max)
+    _check_truncation_window(x, t_max)
     for sigma in sigmas:
         _check_pole(sigma, ts, r)
     if profile is None:
@@ -563,3 +533,24 @@ def barnes_truncated_line_batch(
     for row, sigma in zip(rows, sigmas):
         row += _boundary_corrections(sigma + 1j * ts, a, w, x)
     return rows, [float(x ** (r - 1 - sigma)) for sigma in sigmas]
+
+
+def barnes_zeta_bounded(
+    s: complex, a: float, w: Sequence[float], prec: Precision = DEFAULT_PRECISION
+) -> Tuple[complex, float]:
+    """zeta_r(s, a, w) with its bound, in whichever regime covers s.
+
+    Re s > r + 0.1 takes `barnes_direct`; r - 1 < Re s with |t| >= 2 takes
+    `barnes_truncated` on the box x = max(1, |t|), whose bound is the error
+    scale x^(r-1-sigma).  Anything else is a DomainError.
+    """
+    s = complex(s)
+    r = len(_check_weights(w))
+    if s.real > r + 0.1:
+        return barnes_direct(s, a, w, prec)
+    if s.real > r - 1 and abs(s.imag) >= 2.0:
+        return barnes_truncated(s, a, w, TruncationPolicy.x_for(s.imag))
+    raise DomainError(
+        f"barnes evaluation needs sigma > r + 0.1 = {r + 0.1} (direct sum), or "
+        f"sigma > r - 1 = {r - 1} with |t| >= 2 (truncated strip formula)"
+    )

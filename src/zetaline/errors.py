@@ -41,7 +41,7 @@ class UnsupportedRegionError(DomainError):
 
 
 class TruncationValidityError(DomainError):
-    """Truncated-sum formula requested outside its validity strip |t| <= 2*pi*x/C."""
+    """Truncated-sum formula requested outside its validity window |t| <= x."""
 
 
 class AccuracyError(ZetalineError):

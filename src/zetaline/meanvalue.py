@@ -353,15 +353,16 @@ def predict_multi_mean_square(r: int, sigma: float, a: float) -> Prediction:
         )
     p = [float(c) for c in reduction_coefficients(r, a).coeffs]
     fact2 = float(math.factorial(r - 1)) ** 2
-    if sigma == r - 0.5:
-        lin = 0.0
-        for k in range(r):
-            for l in range(r):
-                if k == r - 1 and l == r - 1:
-                    continue
-                if p[k] == 0.0 or p[l] == 0.0:
-                    continue
-                lin += p[k] * p[l] * _hz_real(2 * sigma - k - l, a)
+    critical = sigma == r - 0.5
+    lin = 0.0
+    for k in range(r):
+        for l in range(r):
+            if critical and k == l == r - 1:
+                continue  # zeta_H(1, a): its pole is the T log T term
+            if p[k] == 0.0 or p[l] == 0.0:
+                continue
+            lin += p[k] * p[l] * _hz_real(2 * sigma - k - l, a)
+    if critical:
         lin += (
             gen_euler_constant(a)
             + gen_euler_constant(1.0)
@@ -374,12 +375,6 @@ def predict_multi_mean_square(r: int, sigma: float, a: float) -> Prediction:
             error_log=1,
             branch="critical",
         )
-    lin = 0.0
-    for k in range(r):
-        for l in range(r):
-            if p[k] == 0.0 or p[l] == 0.0:
-                continue
-            lin += p[k] * p[l] * _hz_real(2 * sigma - k - l, a)
     power = 2.0 * r - 2.0 * sigma
     c_pow = (
         (2.0 * math.pi) ** (2 * sigma - 2 * r + 1)

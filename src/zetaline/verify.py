@@ -366,29 +366,40 @@ def mv_suite(
 # weight comparability
 
 
-def _abs_sum_curve(r: int, a: float, w: Sequence[float], sigma: float, x: int) -> np.ndarray:
-    """A(k) = sum over the box 0 <= m_j <= k of (a + m.w)^(-sigma), k = 1..x.
+def _abs_sum_curves(
+    r: int, a: float, ws: Sequence[Sequence[float]], sigma: float, x: int
+) -> List[np.ndarray]:
+    """A_w(k) = sum over the box 0 <= m_j <= k of (a + m.w)^(-sigma), k = 1..x,
+    for each w in ws.
 
     Summed shell by shell, shell k holding the m with max m_j = k; this is
     the positive majorant series whose two-sided termwise comparison
     carries the pointwise comparability argument (the oscillating values
-    themselves can vanish).
+    themselves can vanish).  The weights share one shell index.
     """
     m = np.arange(0, x + 1, dtype=float)
     if r == 1:
-        return np.cumsum((a + w[0] * m) ** (-sigma))[1:]
+        return [np.cumsum((a + w[0] * m) ** (-sigma))[1:] for w in ws]
     if r != 2:
         raise DomainError("absolute-sum comparability sweep supports r in {1, 2}")
     i = np.arange(x + 1)
-    q, n = _commensurate(w)
-    if sum(n) * x + 1 <= (x + 1) ** 2:
-        # w = q n: one power per level a + q k, gathered by k = n.m
-        levels = np.arange(sum(n) * x + 1, dtype=float)
-        box = ((a + q * levels) ** (-sigma))[np.add.outer(n[0] * i, n[1] * i)]
-    else:
-        box = np.add.outer(a + w[0] * m, w[1] * m) ** (-sigma)
-    shell = np.maximum.outer(i, i)
-    return np.cumsum(np.bincount(shell.ravel(), box.ravel()))[1:]
+    shell = np.maximum.outer(i, i).ravel()
+    curves = []
+    for w in ws:
+        q, n = _commensurate(w)
+        if sum(n) * x + 1 <= (x + 1) ** 2:
+            # w = q n: one power per level a + q k, gathered by k = n.m
+            levels = np.arange(sum(n) * x + 1, dtype=float)
+            box = ((a + q * levels) ** (-sigma))[np.add.outer(n[0] * i, n[1] * i)]
+        else:
+            box = np.add.outer(a + w[0] * m, w[1] * m) ** (-sigma)
+        curves.append(np.cumsum(np.bincount(shell, box.ravel()))[1:])
+    return curves
+
+
+def _abs_sum_curve(r: int, a: float, w: Sequence[float], sigma: float, x: int) -> np.ndarray:
+    """The one-weight case of `_abs_sum_curves`."""
+    return _abs_sum_curves(r, a, [w], sigma, x)[0]
 
 
 def comparability(
@@ -431,8 +442,9 @@ def comparability(
 
     # termwise pointwise statistic: truncated absolute sums
     x = int(math.floor(cps[-1]))
-    curve_1 = _abs_sum_curve(r, a, [1.0] * r, sigma, x)
-    curve_w = curve_1 if unit_w else _abs_sum_curve(r, a, list(map(float, w)), sigma, x)
+    ws = [[1.0] * r] + ([] if unit_w else [list(map(float, w))])
+    curves = _abs_sum_curves(r, a, ws, sigma, x)
+    curve_1, curve_w = curves[0], curves[-1]
     abs_ratio = curve_w / curve_1
     abs_max = float(abs_ratio.max())
     abs_min = float(abs_ratio.min())

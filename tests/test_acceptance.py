@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from zetaline.barnes import TruncationPolicy, barnes_direct, barnes_truncated
+from zetaline.barnes import barnes_direct, barnes_truncated
 from zetaline.cli import main as cli_main
 from zetaline.meanvalue import (
     MeanSquareRequest,
@@ -110,7 +110,6 @@ def test_criterion_02_continuation_oracle():
 def test_criterion_03_barnes_overlap():
     t0 = time.perf_counter()
     x = 50.0
-    policy = TruncationPolicy()
     worst_margin = 0.0
     for weights in ((1.0,), (2.0,), (math.sqrt(2.0),),
                     (1.0, 1.0), (1.0, 2.0), (1.0, math.sqrt(2.0))):
@@ -119,7 +118,7 @@ def test_criterion_03_barnes_overlap():
             for t in (5.0, 20.0):
                 s = complex(sigma, t)
                 direct, _ = barnes_direct(s, 1.0, weights)
-                approx, _ = barnes_truncated(s, 1.0, weights, x, policy)
+                approx, _ = barnes_truncated(s, 1.0, weights, x)
                 bound = 10.0 * x ** (r - 1 - sigma)
                 worst_margin = max(worst_margin, abs(approx - direct) / bound)
     wall = time.perf_counter() - t0

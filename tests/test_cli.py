@@ -13,7 +13,7 @@ import pytest
 
 import zetaline.cli
 import zetaline.verify
-from zetaline.barnes import multi_hurwitz_bounded
+from zetaline.barnes import barnes_truncated, multi_hurwitz_bounded
 from zetaline.cli import build_parser, main
 from zetaline.meanvalue import mean_square_grid
 from zetaline.verify import oscillatory_suite
@@ -71,6 +71,16 @@ def test_eval_barnes_outside_strip_is_domain_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_eval_barnes_takes_the_strip_formula_up_to_r_plus_one_tenth(capsys):
+    # the direct sum needs sigma > r + 0.1; r < sigma <= r + 0.1 is strip territory
+    w = (1.0, 1.4142135623730951)
+    code, out, _ = run_cli(capsys, "eval", "--kind", "barnes", "--w", "1,1.4142135623730951",
+                           "--sigma", "2.05", "--t", "10", "--a", "1")
+    assert code == 0
+    val, err = barnes_truncated(complex(2.05, 10.0), 1.0, w, 10.0)
+    assert out == f"re={val.real:.17g} im={val.imag:.17g} err={err:.17g}\n"
 
 
 def test_eval_missing_kind_specific_flags(capsys):
