@@ -14,14 +14,15 @@ Two families are implemented.
 
 * ``barnes_direct`` / ``barnes_truncated_line``: general positive weights ``w``.
   The direct evaluator needs ``Re s > r + 0.1`` and collapses the lattice one
-  coordinate at a time: level j holds an asymptotic expansion
-  ``F_j(y) ~ sum_c coef_c y^(-(s+c))``, composed through Euler-Maclaurin from
-  the unit series of level 0, the explicit window below the expansion's
-  validity threshold recurses, and the infinite tail of each window is an
-  exact Hurwitz power sum.  The truncated evaluator sums the finite box
-  ``{0..floor(x)}^r`` (through a compressed ``LatticeProfile``, whose counts
-  are an integer convolution for commensurate weights) and adds the
-  alternating boundary corrections
+  coordinate at a time, ``F_j(y) = sum_{m>=0} F_(j-1)(y + m w_j)`` from
+  ``F_0(y) = y^(-s)``: the points below the threshold ``y_req`` form an
+  explicit window whose ``F_(j-1)`` values recurse, and the rest is a tail
+  of exact Hurwitz values, one per term of the asymptotic expansion
+  ``F_(j-1)(y) ~ sum_c coef_c y^(-(s+c))``, composed through Euler-Maclaurin
+  from the unit series.  Level 1 is its tail alone.  The truncated evaluator
+  sums the finite box ``{0..floor(x)}^r`` (through a compressed
+  ``LatticeProfile``, whose counts are an integer convolution for
+  commensurate weights) and adds the alternating boundary corrections
 
       - sum_{E nonempty} (-1)^(#E) (a + x*sum_{e in E} w_e)^(r-s)
         / ((s-1)...(s-r) w_1...w_r),
@@ -204,7 +205,6 @@ def _compose_expansion(
 class _DirectState:
     s: complex
     w: Tuple[float, ...]
-    prec: Precision
     y_req: float
     expansions: list  # expansions[j] = series of F_j; F_0(y) = y^(-s)
     atoms: int = 0
@@ -218,23 +218,6 @@ class _DirectState:
             )
 
 
-def _expansion_eval(st: _DirectState, level: int, y: float) -> complex:
-    """Evaluate F_level via its asymptotic series (valid for y >= y_req)."""
-    exp_ = st.expansions[level]
-    s = st.s
-    logy = math.log(y)
-    total = 0.0 + 0.0j
-    top = 0.0
-    for c, coef in sorted(exp_.items()):
-        term = coef * cmath.exp(-(s + c) * logy)
-        total += term
-        if c >= _EXP_CAP - 1:
-            top = max(top, abs(term))
-    st.err += 2.0 * top
-    st.spend()
-    return total
-
-
 def _tail_power_sums(st: _DirectState, level: int, base_y: float, wj: float) -> complex:
     """sum_{m>=0} F_level(base_y + m wj) via exact Hurwitz power sums."""
     exp_ = st.expansions[level]
@@ -243,7 +226,7 @@ def _tail_power_sums(st: _DirectState, level: int, base_y: float, wj: float) -> 
     top = 0.0
     logw = math.log(wj)
     for c, coef in sorted(exp_.items()):
-        hv, he = _hurwitz_scalar(s + c, base_y / wj, st.prec)
+        hv, he = _hurwitz_scalar(s + c, base_y / wj, DEFAULT_PRECISION)
         term = coef * cmath.exp(-(s + c) * logw) * hv
         total += term
         st.err += abs(he * term)
@@ -255,12 +238,9 @@ def _tail_power_sums(st: _DirectState, level: int, base_y: float, wj: float) -> 
 
 
 def _F(st: _DirectState, level: int, y: float) -> complex:
-    if level == 1:
-        return _tail_power_sums(st, 0, y, st.w[0])
-    if y >= st.y_req:
-        return _expansion_eval(st, level, y)
+    """F_level(y): the window below y_req recursed, then the exact tail."""
     wj = st.w[level - 1]
-    k_cut = max(0, int(math.ceil((st.y_req - y) / wj)))
+    k_cut = 0 if level == 1 else max(0, int(math.ceil((st.y_req - y) / wj)))
     total = 0.0 + 0.0j
     for m in range(k_cut):
         total += _F(st, level - 1, y + m * wj)
@@ -268,12 +248,7 @@ def _F(st: _DirectState, level: int, y: float) -> complex:
     return total
 
 
-def barnes_direct(
-    s: complex,
-    a: float,
-    w: Sequence[float],
-    prec: Precision = DEFAULT_PRECISION,
-) -> Tuple[complex, float]:
+def barnes_direct(s: complex, a: float, w: Sequence[float]) -> Tuple[complex, float]:
     """Barnes zeta zeta_r(s, a, w) for Re s > r + 0.1, with an error estimate.
 
     The estimate combines the Hurwitz remainders of every atom with twice the
@@ -292,9 +267,9 @@ def barnes_direct(
     wmax = max(w)
     y_req = 0.75 * (abs(s.imag) + abs(s.real) + 2 * _EXP_CAP + 4.0) * wmax
     expansions = [{0: 1.0}]
-    for wj in w:
+    for wj in w[:-1]:
         expansions.append(_compose_expansion(expansions[-1], s, wj))
-    st = _DirectState(s=s, w=w, prec=prec, y_req=y_req, expansions=expansions)
+    st = _DirectState(s=s, w=w, y_req=y_req, expansions=expansions)
     val = _F(st, r, a)
     return val, st.err
 
@@ -535,9 +510,7 @@ def barnes_truncated_line_batch(
     return rows, [float(x ** (r - 1 - sigma)) for sigma in sigmas]
 
 
-def barnes_zeta_bounded(
-    s: complex, a: float, w: Sequence[float], prec: Precision = DEFAULT_PRECISION
-) -> Tuple[complex, float]:
+def barnes_zeta_bounded(s: complex, a: float, w: Sequence[float]) -> Tuple[complex, float]:
     """zeta_r(s, a, w) with its bound, in whichever regime covers s.
 
     Re s > r + 0.1 takes `barnes_direct`; r - 1 < Re s with |t| >= 2 takes
@@ -547,7 +520,7 @@ def barnes_zeta_bounded(
     s = complex(s)
     r = len(_check_weights(w))
     if s.real > r + 0.1:
-        return barnes_direct(s, a, w, prec)
+        return barnes_direct(s, a, w)
     if s.real > r - 1 and abs(s.imag) >= 2.0:
         return barnes_truncated(s, a, w, TruncationPolicy.x_for(s.imag))
     raise DomainError(

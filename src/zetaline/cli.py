@@ -76,6 +76,8 @@ def _parse_floats(text: str) -> Tuple[float, ...]:
 def _precision(ns) -> Precision:
     if ns.rel_tol is None:
         return DEFAULT_PRECISION
+    if ns.kind == "barnes":
+        raise DomainError("--rel-tol does not apply to --kind barnes")
     return Precision(rel_tol=ns.rel_tol)
 
 
@@ -114,7 +116,7 @@ def cmd_eval(ns, argv: Sequence[str]) -> int:
     elif ns.kind == "multi":
         val, err = multi_hurwitz_bounded(s, ns.a, args["r"], prec)
     else:
-        val, err = barnes_zeta_bounded(s, ns.a, args["w"], prec)
+        val, err = barnes_zeta_bounded(s, ns.a, args["w"])
     print(f"re={val.real:.17g} im={val.imag:.17g} err={err:.17g}")
     return EXIT_OK
 

@@ -34,16 +34,15 @@ from .barnes import (
     multi_hurwitz_line,
 )
 from .combinatorics import reduction_coefficients
-from .errors import DomainError, UnsupportedRegionError
+from .errors import DomainError
 from .zetacore import (
     DEFAULT_PRECISION,
     Precision,
     _hurwitz_scalar,
-    _rational_twist,
-    _twist_terms,
     gen_euler_constant,
     hurwitz_line,
     hurwitz_line_batch,
+    lerch_line,
 )
 
 __all__ = [
@@ -186,36 +185,11 @@ class MeanSquareResult:
 # line evaluation per kind
 
 
-def _lerch_line(
-    sigma: float,
-    a: float,
-    lam: LambdaLike,
-    ts: np.ndarray,
-    prec: Precision,
-) -> np.ndarray:
-    """zeta_L(sigma+it, a, lam) on a grid; rational lam only (q-fold batch)."""
-    fr = _rational_twist(lam)
-    if fr is None:
-        raise UnsupportedRegionError(
-            "line evaluation of the twisted series needs rational lam "
-            "(pass a Fraction)"
-        )
-    if fr == 0:
-        return hurwitz_line(sigma, a, ts, prec)
-    total = np.zeros(ts.size, dtype=complex)
-    for root, shifted in _twist_terms(a, fr):
-        total += root * hurwitz_line(sigma, shifted, ts, prec)
-    # q^(-s) = q^(-sigma) e^(-i t log q)
-    q = fr.denominator
-    total *= q ** (-sigma) * np.exp((-1j * math.log(q)) * ts)
-    return total
-
-
 def _line_values(req: MeanSquareRequest, ts: np.ndarray, prec: Precision) -> np.ndarray:
     if req.kind == "hurwitz":
         return hurwitz_line(req.sigma, req.a, ts, prec)
     if req.kind == "lerch":
-        return _lerch_line(req.sigma, req.a, req.lam, ts, prec)
+        return lerch_line(req.sigma, req.a, req.lam, ts, prec)
     if req.kind == "multi_hurwitz":
         return multi_hurwitz_line(req.sigma, req.a, req.r, ts, prec)
     if req.kind == "barnes":
@@ -335,6 +309,32 @@ def _hz_real(arg: float, a: float) -> float:
     return _hurwitz_scalar(complex(arg, 0.0), a, DEFAULT_PRECISION)[0].real
 
 
+def _branch_model(
+    r: int, sigma: float, lead: float, lin: float, c_pow: Callable[[float], float]
+) -> Prediction:
+    """The three branches about the critical line sigma = r - 1/2.
+
+    On it the model is lead T log T + lin T; off it, lin T and
+    c_pow(power) T^power with power = 2r - 2 sigma, the larger term first.
+    """
+    if sigma == r - 0.5:
+        return Prediction(
+            terms=((lead, 1.0, 1), (lin, 1.0, 0)),
+            error_exponent=0.5,
+            error_log=1,
+            branch="critical",
+        )
+    power = 2.0 * r - 2.0 * sigma
+    linear, pow_term = (lin, 1.0, 0), (c_pow(power), power, 0)
+    above = sigma > r - 0.5
+    return Prediction(
+        terms=(linear, pow_term) if above else (pow_term, linear),
+        error_exponent=r - sigma,
+        error_log=1,
+        branch="linear_dominant" if above else "power_dominant",
+    )
+
+
 def predict_multi_mean_square(r: int, sigma: float, a: float) -> Prediction:
     """Two-term mean-square main model for the rank-r equal-weight function.
 
@@ -369,31 +369,12 @@ def predict_multi_mean_square(r: int, sigma: float, a: float) -> Prediction:
             - 1.0
             - math.log(2.0 * math.pi)
         ) / fact2
-        return Prediction(
-            terms=((1.0 / fact2, 1.0, 1), (lin, 1.0, 0)),
-            error_exponent=0.5,
-            error_log=1,
-            branch="critical",
-        )
-    power = 2.0 * r - 2.0 * sigma
-    c_pow = (
-        (2.0 * math.pi) ** (2 * sigma - 2 * r + 1)
-        * _hz_real(2 * r - 2 * sigma, 1.0)
-        / (power * fact2)
-    )
-    if sigma > r - 0.5:
-        return Prediction(
-            terms=((lin, 1.0, 0), (c_pow, power, 0)),
-            error_exponent=r - sigma,
-            error_log=1,
-            branch="linear_dominant",
-        )
-    return Prediction(
-        terms=((c_pow, power, 0), (lin, 1.0, 0)),
-        error_exponent=r - sigma,
-        error_log=1,
-        branch="power_dominant",
-    )
+
+    def c_pow(power: float) -> float:
+        scale = (2.0 * math.pi) ** (2 * sigma - 2 * r + 1)
+        return scale * _hz_real(power, 1.0) / (power * fact2)
+
+    return _branch_model(r, sigma, 1.0 / fact2, lin, c_pow)
 
 
 def predict_lerch_mean_square(sigma: float, a: float, lam: LambdaLike) -> Prediction:
@@ -418,30 +399,14 @@ def predict_lerch_mean_square(sigma: float, a: float, lam: LambdaLike) -> Predic
             - 1.0
             - math.log(2.0 * math.pi)
         )
-        return Prediction(
-            terms=((1.0, 1.0, 1), (lin, 1.0, 0)),
-            error_exponent=0.5,
-            error_log=1,
-            branch="critical",
-        )
-    lin = _hz_real(2.0 * sigma, a)
-    power = 2.0 - 2.0 * sigma
-    if sigma > 0.5:
-        c_pow = (2.0 * math.pi) ** (2 * sigma - 1) * _hz_real(power, lam_f) / power
-        return Prediction(
-            terms=((lin, 1.0, 0), (c_pow, power, 0)),
-            error_exponent=1.0 - sigma,
-            error_log=1,
-            branch="linear_dominant",
-        )
-    comp = 1.0 if lam_f == 1.0 else 1.0 - lam_f
-    c_pow = (2.0 * math.pi) ** (2 * sigma - 1) * _hz_real(power, comp) / power
-    return Prediction(
-        terms=((c_pow, power, 0), (lin, 1.0, 0)),
-        error_exponent=1.0 - sigma,
-        error_log=1,
-        branch="power_dominant",
-    )
+    else:
+        lin = _hz_real(2.0 * sigma, a)
+    comp = lam_f if sigma > 0.5 or lam_f == 1.0 else 1.0 - lam_f
+
+    def c_pow(power: float) -> float:
+        return (2.0 * math.pi) ** (2 * sigma - 1) * _hz_real(power, comp) / power
+
+    return _branch_model(1, sigma, 1.0, lin, c_pow)
 
 
 # ---------------------------------------------------------------------------

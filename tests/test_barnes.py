@@ -127,6 +127,30 @@ def test_direct_region_guard():
         bz.barnes_direct(complex(4.0, 0.0), -0.5, (1.0, 1.0))
 
 
+@pytest.mark.parametrize("a", [100.0, 250.0, 1000.0])
+@pytest.mark.parametrize("s", [2.15, 3.5 + 5j, 4 - 20j])
+def test_direct_far_from_the_origin_matches_closed_form(s, a):
+    # most of these a lie at or past y_req, so the top level is a tail alone;
+    # w = (1, 2) counts floor(n/2) + 1 points at a + n, which splits by parity
+    # into 2^-s sum_b [zeta(s-1, b) + (1-b) zeta(s, b)] over b = a/2, (a+1)/2
+    mpmath = pytest.importorskip("mpmath")
+    s = complex(s)
+    got, _ = bz.barnes_direct(s, a, (1.0, 2.0))
+
+    def closed_form(z):
+        return complex(mpmath.power(2, -z) * sum(
+            mpmath.zeta(z - 1, b) + (1 - b) * mpmath.zeta(z, b)
+            for b in (mpmath.mpf(a) / 2, (mpmath.mpf(a) + 1) / 2)
+        ))
+
+    with mpmath.workdps(30):
+        ref = closed_form(mpmath.mpc(s.real, s.imag))
+        # the sum of the terms' moduli: rounding is relative to it, and it
+        # exceeds |ref| 67-fold at s = 4 - 20i, a = 100
+        scale = closed_form(mpmath.mpf(s.real)).real
+    assert abs(got - ref) <= 1e-14 * scale
+
+
 @pytest.mark.parametrize(
     "s, a, w, want",
     [

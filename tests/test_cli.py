@@ -83,6 +83,19 @@ def test_eval_barnes_takes_the_strip_formula_up_to_r_plus_one_tenth(capsys):
     assert out == f"re={val.real:.17g} im={val.imag:.17g} err={err:.17g}\n"
 
 
+@pytest.mark.parametrize("w, sigma", [("1,2", "2.5"), ("1,1.4142135623730951", "1.5")])
+def test_barnes_rejects_rel_tol(capsys, tmp_path, w, sigma):
+    # the Barnes evaluators take no tolerance, so the flag would be accepted and ignored
+    common = ("--kind", "barnes", "--w", w, "--sigma", sigma, "--a", "1", "--rel-tol", "1e-3")
+    code, out, err = run_cli(capsys, "eval", *common, "--t", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: --rel-tol does not apply to --kind barnes\n"
+    code, out, _ = run_cli(capsys, "meansquare", *common, "--T", "50",
+                           "--out", str(tmp_path / "ms.csv"))
+    assert (code, out) == (2, "")
+    assert os.listdir(tmp_path) == []
+
+
 def test_eval_missing_kind_specific_flags(capsys):
     code, _, _ = run_cli(capsys, "eval", "--kind", "multi",
                          "--sigma", "2", "--t", "0", "--a", "1")

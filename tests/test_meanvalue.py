@@ -22,9 +22,8 @@ from zetaline.meanvalue import (
     residual_report,
     simpson_nodes,
     write_measurements_csv,
-    _lerch_line,
 )
-from zetaline.zetacore import DEFAULT_PRECISION, hurwitz_zeta, lerch_zeta
+from zetaline.zetacore import DEFAULT_PRECISION, hurwitz_zeta, lerch_line, lerch_zeta
 
 from fractions import Fraction
 
@@ -259,7 +258,7 @@ def test_lerch_line_matches_scalar():
     ts = np.linspace(1.0, 12.0, 23)
     # the line shares the values' denominator cap of 1024, so q = 65 runs too
     for lam in (Fraction(1, 3), Fraction(2, 65)):
-        row = _lerch_line(0.75, 0.7, lam, ts, DEFAULT_PRECISION)
+        row = lerch_line(0.75, 0.7, lam, ts, DEFAULT_PRECISION)
         for idx in (0, 7, 22):
             ref = lerch_zeta(complex(0.75, ts[idx]), 0.7, lam)
             assert row[idx] == pytest.approx(ref, rel=1e-10)

@@ -48,7 +48,7 @@ def _oracle_nodes(values: np.ndarray) -> np.ndarray:
 def test_line_matches_mpmath(grid, a, sigma):
     ts = simpson_nodes(1000.0, a)[0] if grid == "simpson" else _t_nodes(2000.0)
     got = zc.hurwitz_line(sigma, a, ts)
-    n = zc._shift_count(zc.DEFAULT_PRECISION, float(np.max(np.abs(ts))))
+    n = zc._shift_count(float(np.max(np.abs(ts))))
     tol = 64.0 * zc.DEFAULT_PRECISION.rel_tol
     with mpmath.workdps(30):
         for k in _oracle_nodes(got):

@@ -91,8 +91,8 @@ def test_remainder_estimate_dominates_true_error():
     # the reported estimate
     s, a = complex(0.5, 37.0), 0.71
     v1, e1 = zc.hurwitz_zeta_bounded(s, a)
-    coarse = zc.Precision(shift_count_factor=2.4)
-    v2, _ = zc.hurwitz_zeta_bounded(s, a, coarse)
+    n = 2 * zc._shift_count(abs(s.imag))
+    v2 = zc.hurwitz_line(s.real, a, np.array([s.imag]), n_terms=n)[0]
     assert abs(v1 - v2) <= max(e1 * max(abs(v1), 1.0), 1e-13 * abs(v1))
 
 
@@ -172,7 +172,7 @@ def test_factored_line_matches_mpmath_near_t_1000():
     mpmath = pytest.importorskip("mpmath")
     sigma, a = 0.5, 0.5
     ts = simpson_nodes(1000.0, a)[0][-20:]
-    n = zc._shift_count(zc.DEFAULT_PRECISION, float(ts[-1]))
+    n = zc._shift_count(float(ts[-1]))
     got = zc.hurwitz_line(sigma, a, ts)
     tol = 64.0 * zc.DEFAULT_PRECISION.rel_tol
     with mpmath.workdps(30):
@@ -283,6 +283,26 @@ def test_reflection_residual_grid():
         for s in (1.5, complex(2.0, 3.0), complex(3.0, 25.0)):
             residuals.append(zc.functional_equation_residual(s, a, lam))
     assert max(residuals) <= 1e-9
+
+
+@pytest.mark.parametrize("a, s", [(1.5, complex(-3.0, 0.5)), (2.7, complex(-6.0, 2.0)),
+                                  (7.25, complex(-9.5, 0.0))])
+def test_reflection_shifts_a_above_one(monkeypatch, a, s):
+    # the reflection holds for 0 < a <= 1; a > 1 first peels off (a-1)^(-s), (a-2)^(-s), ...
+    mpmath = pytest.importorskip("mpmath")
+    seen = []
+    reflected = zc._hurwitz_reflected
+
+    def spy(s_, a_, prec):
+        seen.append(a_)
+        return reflected(s_, a_, prec)
+
+    monkeypatch.setattr(zc, "_hurwitz_reflected", spy)
+    got = zc.hurwitz_zeta(s, a)
+    assert seen == [a]
+    with mpmath.workdps(30):
+        ref = complex(mpmath.zeta(mpmath.mpc(s.real, s.imag), a))
+    assert abs(got - ref) <= 64e-12 * abs(ref)
 
 
 def test_reflection_residual_rejects_bad_domain():
