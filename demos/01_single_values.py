@@ -1,6 +1,6 @@
-"""Single values of the four zeta families, with certified error bounds.
+"""Single values of the four zeta families, with error estimates.
 
-Every evaluator returns a value plus an error bound; the bounded variants
+Every evaluator returns a value plus an error estimate; the bounded variants
 expose both.  Two structural identities make good smoke tests: the rank-1
 multiple function is the plain Hurwitz function, and at a = 1 with unit
 weights the rank-r function telescopes down to the Riemann zeta function

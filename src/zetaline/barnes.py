@@ -8,9 +8,9 @@ Two families are implemented.
   ``sum_{j<r} p_{r,j}(a) zeta_H(s - j, a)`` with the reduction coefficients
   from :mod:`zetaline.combinatorics`.  This form inherits the full analytic
   continuation of the Hurwitz zeta (poles at s = 1, ..., r; ``_check_pole`` is
-  the one rank-r guard, shared with the truncated line).  The scalar sums
-  gated ``hurwitz_zeta_bounded`` terms, so its bound is
-  ``sum_j |p_{r,j}| err_j``; ``multi_hurwitz`` is its value.
+  the one rank-r guard, shared with the truncated line).  The scalar is the
+  one-point line, its Hurwitz terms gated like ``hurwitz_zeta_bounded``, so
+  its bound is ``sum_j |p_{r,j}| err_j``; ``multi_hurwitz`` is its value.
 
 * ``barnes_direct`` / ``barnes_truncated_line``: general positive weights ``w``.
   The direct evaluator needs ``Re s > r + 0.1`` and collapses the lattice one
@@ -59,10 +59,12 @@ from .zetacore import (
     DEFAULT_PRECISION,
     Precision,
     _POLE_GUARD,
+    _check_hurwitz_domain,
+    _gate,
+    _hurwitz_rows,
     _hurwitz_scalar,
     _phase_sum,
     hurwitz_line_batch,
-    hurwitz_zeta_bounded,
 )
 
 __all__ = [
@@ -109,29 +111,33 @@ def _check_pole(sigma: float, ts: np.ndarray, r: int) -> None:
 # equal weights: exact binomial collapse
 
 
+def _combine(coefs: Sequence[float], rows) -> np.ndarray:
+    """sum_j coefs[j] rows[j] over the nonzero coefs (p_{r,r-1} never vanishes)."""
+    terms = [cf * row for cf, row in zip(coefs, rows) if cf != 0.0]
+    return sum(terms[1:], terms[0])
+
+
 def multi_hurwitz_bounded(
     s: complex, a: float, r: int, prec: Precision = DEFAULT_PRECISION
 ) -> Tuple[complex, float]:
     """zeta_r(s, a) = sum_{j=0}^{r-1} p_{r,j}(a) zeta_H(s - j, a), with its bound.
 
-    A fixed linear combination of Hurwitz values, so the bound is the same
-    combination of their bounds, sum_j |p_{r,j}| err_j.  Each term is a gated
-    `hurwitz_zeta_bounded` call: DomainError and AccuracyError pass through.
+    The one-point `multi_hurwitz_line`, one kernel call over the terms with
+    p_{r,j} != 0; the bound is their combination, sum_j |p_{r,j}| err_j.  Each
+    term is gated like `hurwitz_zeta_bounded`, with its DomainError and AccuracyError.
     """
     s = complex(s)
     if not (1 <= r <= MAX_RANK):
         raise DomainError(f"multi_hurwitz supports rank 1..{MAX_RANK}, got {r}")
     _check_pole(s.real, np.array([s.imag]), r)
-    total = None
-    err = 0.0
-    for j, coef in enumerate(reduction_coefficients(r, a).coeffs):
-        cf = float(coef)
-        if cf == 0.0:
-            continue
-        val, bound = hurwitz_zeta_bounded(s - j, a, prec)
-        total = cf * val if total is None else total + cf * val
-        err += abs(cf) * bound
-    return total, err  # p_{r,r-1} = 1/(r-1)! never vanishes
+    coefs = [float(c) for c in reduction_coefficients(r, a).coeffs]
+    live = [j for j, cf in enumerate(coefs) if cf != 0.0]
+    for j in live:
+        _check_hurwitz_domain("hurwitz_zeta", s - j, a)
+    vals, errs = _hurwitz_rows([s.real - j for j in live], a, np.array([s.imag]), prec)
+    _gate("hurwitz_zeta", errs, prec)
+    err = sum(abs(coefs[j]) * float(e) for j, e in zip(live, errs))
+    return complex(_combine([coefs[j] for j in live], vals)[0]), err
 
 
 def multi_hurwitz(
@@ -150,22 +156,15 @@ def multi_hurwitz_line(
     n_terms: int | None = None,
 ) -> np.ndarray:
     """zeta_r(sigma + i t, a) on a t-grid; all j-shifts share one phase matrix."""
-    if a <= 0:
-        raise DomainError(f"multi_hurwitz_line needs a > 0, got a={a}")
     if not (1 <= r <= MAX_RANK):
         raise DomainError(f"multi_hurwitz_line supports rank 1..{MAX_RANK}, got {r}")
     ts = np.asarray(ts, dtype=float)
     _check_pole(sigma, ts, r)
-    table = reduction_coefficients(r, a)
-    coefs = [float(c) for c in table.coeffs]
+    coefs = [float(c) for c in reduction_coefficients(r, a).coeffs]
     rows = hurwitz_line_batch(
         [sigma - j for j in range(r)], a, ts, prec, n_terms
     )
-    out = np.zeros(ts.shape, dtype=complex)
-    for j in range(r):
-        if coefs[j] != 0.0:
-            out += coefs[j] * rows[j]
-    return out
+    return _combine(coefs, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -127,7 +127,7 @@ class MeanSquareRequest:
     """Parameters of one mean-square run.
 
     kind: one of hurwitz, lerch, multi_hurwitz, barnes.
-    lam applies to lerch; r to multi_hurwitz; w to barnes.
+    lam applies to lerch, r to multi_hurwitz, w to barnes, each to no other kind.
     step_fixed overrides the automatic step rule when set.
     """
 
@@ -147,6 +147,9 @@ class MeanSquareRequest:
             )
         if self.a <= 0:
             raise DomainError("a must be positive")
+        for field, kind in (("lam", "lerch"), ("r", "multi_hurwitz"), ("w", "barnes")):
+            if getattr(self, field) is not None and self.kind != kind:
+                raise DomainError(f"{field} applies only to kind={kind}, not kind={self.kind}")
         if self.kind == "lerch" and self.lam is None:
             raise DomainError("kind=lerch requires lam")
         if self.kind == "multi_hurwitz" and not self.r:

@@ -58,7 +58,6 @@ __all__ = [
     "oscillatory_suite",
     "coefficient_identity_suite",
     "functional_equation_suite",
-    "default_verification_suites",
     "envelope_suites",
     "SUITES",
     "run_suites",
@@ -397,11 +396,6 @@ def _abs_sum_curves(
     return curves
 
 
-def _abs_sum_curve(r: int, a: float, w: Sequence[float], sigma: float, x: int) -> np.ndarray:
-    """The one-weight case of `_abs_sum_curves`."""
-    return _abs_sum_curves(r, a, [w], sigma, x)[0]
-
-
 def comparability(
     r: int,
     a: float,
@@ -700,9 +694,3 @@ def run_suites(name: str, out_dir: Optional[str] = None, seeds=None) -> List[Ver
     seeds = _MV_SEEDS if seeds is None else tuple(seeds)
     names = SUITES if name == "all" else (name,)
     return [rec for n in names for rec in SUITES[n](out_dir, seeds)]
-
-
-def default_verification_suites(out_dir: Optional[str] = None) -> List[VerdictRecord]:
-    """The table after its two structural suites: envelopes, bilinear
-    inequality, comparability, oscillatory boundedness."""
-    return [rec for n in list(SUITES)[2:] for rec in SUITES[n](out_dir, _MV_SEEDS)]

@@ -380,13 +380,12 @@ def _em_kernel(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Euler-Maclaurin evaluation of zeta_H(sigma_i + i t_j, a).
 
-    Returns (values[S, T], err[S], cancel[S]): err is the max over t of the
+    Returns (values[S, T], err[S, T], cancel[S, T]), per node: err is the
     first omitted correction plus summation rounding, relative to the scale
     max(|value|, (N+a)^(-sigma)); cancel is the rounding estimate relative
     to |value| itself, which flags the cancellation-dominated corner
     (deeply negative sigma at small |t|) and zeros of the function.
     """
-    ts = np.asarray(ts, dtype=float)
     N = n_terms
 
     base = np.arange(N, dtype=float) + a
@@ -395,8 +394,8 @@ def _em_kernel(
     logz = math.log(z)
 
     out = _phase_sum(logv, [np.power(base, -sig) for sig in sigmas], ts)
-    errs = np.zeros(len(sigmas))
-    cancels = np.zeros(len(sigmas))
+    errs = np.zeros(out.shape)
+    cancels = np.zeros(out.shape)
     for i, sig in enumerate(sigmas):
         s = sig + 1j * ts
         if np.any(np.abs(s - 1.0) < _POLE_GUARD):
@@ -422,25 +421,48 @@ def _em_kernel(
         rounding = 1e-16 * math.log2(N + 2.0) * top
         scale = np.maximum(np.abs(val), z ** (-sig))
         mag = np.maximum(np.abs(val), 1e-300)
-        errs[i] = float(np.max((omitted + rounding) / scale))
-        cancels[i] = float(np.max(rounding / mag))
+        errs[i] = (omitted + rounding) / scale
+        cancels[i] = rounding / mag
     return out, errs, cancels
 
 
-def _hurwitz_scalar(s: complex, a: float, prec: Precision) -> Tuple[complex, float]:
-    """Internal continuation kernel without public-domain clamps."""
+def _hurwitz_rows(
+    sigmas: Sequence[float],
+    a: float,
+    ts: np.ndarray,
+    prec: Precision,
+    n_terms: int | None = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows zeta_H(sigma_i + i t, a) and each row's largest err: the one path
+    of Hurwitz values and lines.  The Euler-Maclaurin kernel, N from max |t|
+    unless n_terms is given, and the reflection fallback node by node."""
     if a <= 0:
         raise DomainError(f"zeta_H needs a > 0, got a={a}")
-    if abs(s - 1.0) < _POLE_GUARD:
-        raise PoleError("zeta_H has a pole at s = 1", distance=abs(s - 1.0))
-    n = _shift_count(abs(s.imag))
-    vals, errs, cancels = _em_kernel([s.real], a, np.array([s.imag]), n)
-    val, err = complex(vals[0, 0]), float(errs[0])
-    if s.real < -0.5 and float(cancels[0]) > 8.0 * prec.rel_tol:
-        # cancellation-dominated corner (deeply negative sigma, small |t|):
-        # reflect to Re = 1 - sigma where the series side converges fast
-        return _hurwitz_reflected(s, a, prec)
-    return val, err
+    ts = np.asarray(ts, dtype=float)
+    n = n_terms if n_terms is not None else _shift_count(float(np.max(np.abs(ts), initial=0.0)))
+    vals, errs, cancels = _em_kernel(sigmas, a, ts, n)
+    for i, sig in enumerate(sigmas):
+        if sig < -0.5:
+            # cancellation-dominated corner (deeply negative sigma, small |t|):
+            # reflect to Re = 1 - sigma where the series side converges fast
+            for k in np.flatnonzero(cancels[i] > 8.0 * prec.rel_tol):
+                vals[i, k], errs[i, k] = _hurwitz_reflected(complex(sig, ts[k]), a, prec)
+    return vals, errs.max(axis=1, initial=0.0)
+
+
+def _gate(name: str, errs, prec: Precision) -> None:
+    """The accuracy gate of Hurwitz values and lines: err <= 64 rel_tol."""
+    worst = float(np.max(errs, initial=0.0))
+    if worst > 64.0 * prec.rel_tol:
+        raise AccuracyError(
+            f"{name}: remainder estimate {worst:.3e} above tolerance", achieved=worst
+        )
+
+
+def _hurwitz_scalar(s: complex, a: float, prec: Precision) -> Tuple[complex, float]:
+    """The one-point row of `_hurwitz_rows`, without public-domain clamps."""
+    vals, errs = _hurwitz_rows([s.real], a, np.array([s.imag]), prec)
+    return complex(vals[0, 0]), float(errs[0])
 
 
 def _hurwitz_reflected(
@@ -490,11 +512,7 @@ def hurwitz_zeta_bounded(
     s = complex(s)
     _check_hurwitz_domain("hurwitz_zeta", s, a)
     val, err = _hurwitz_scalar(s, a, prec)
-    if err > 64.0 * prec.rel_tol:
-        raise AccuracyError(
-            f"hurwitz_zeta: remainder estimate {err:.3e} above tolerance",
-            achieved=err,
-        )
+    _gate("hurwitz_zeta", err, prec)
     return val, err
 
 
@@ -518,7 +536,8 @@ def hurwitz_line(
     """zeta_H(sigma + i t, a) for an array of ordinates t.
 
     One shift count (from max |t|) serves the whole batch so the integrand
-    of a quadrature run is a single smooth family.
+    of a quadrature run is a single smooth family.  At sigma < -0.5, nodes
+    where the kernel cancels take the reflection fallback one by one.
     """
     return hurwitz_line_batch([sigma], a, ts, prec, n_terms)[0]
 
@@ -530,21 +549,10 @@ def hurwitz_line_batch(
     prec: Precision = DEFAULT_PRECISION,
     n_terms: int | None = None,
 ) -> np.ndarray:
-    """Rows zeta_H(sigma_i + i t, a) sharing one phase matrix across sigma_i."""
-    if a <= 0:
-        raise DomainError(f"hurwitz_line needs a > 0, got a={a}")
-    ts = np.asarray(ts, dtype=float)
-    if ts.size == 0:
-        return np.zeros((len(sigmas), 0), dtype=complex)
-    t_scale = float(np.max(np.abs(ts)))
-    n = n_terms if n_terms is not None else _shift_count(t_scale)
-    vals, errs, _ = _em_kernel(list(sigmas), a, ts, n)
-    worst = float(np.max(errs)) if len(sigmas) else 0.0
-    if worst > 64.0 * prec.rel_tol:
-        raise AccuracyError(
-            f"hurwitz_line: remainder estimate {worst:.3e} above tolerance",
-            achieved=worst,
-        )
+    """Rows zeta_H(sigma_i + i t, a) sharing one phase matrix across sigma_i,
+    with the reflection fallback node by node (`_hurwitz_rows`)."""
+    vals, errs = _hurwitz_rows(list(sigmas), a, ts, prec, n_terms)
+    _gate("hurwitz_line", errs, prec)
     return vals
 
 

@@ -26,8 +26,8 @@ from zetaline.meanvalue import (
 )
 from zetaline.verify import (
     coefficient_identity_suite,
-    default_verification_suites,
     functional_equation_suite,
+    run_suites,
 )
 from zetaline.zetacore import functional_equation_residual, hurwitz_zeta
 
@@ -67,8 +67,10 @@ def verification_bundle_runs(tmp_path_factory):
     """The full verification bundle, run twice with artifacts."""
     d1 = str(tmp_path_factory.mktemp("bundle_one"))
     d2 = str(tmp_path_factory.mktemp("bundle_two"))
-    records = default_verification_suites(out_dir=d1)
-    default_verification_suites(out_dir=d2)
+    suites = ("envelopes", "mv", "comparability", "oscillatory")
+    records = [rec for name in suites for rec in run_suites(name, out_dir=d1)]
+    for name in suites:
+        run_suites(name, out_dir=d2)
     return records, d1, d2
 
 

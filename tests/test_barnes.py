@@ -66,6 +66,12 @@ def test_multi_is_gated_like_its_hurwitz_terms():
     assert err == zc.hurwitz_zeta_bounded(complex(-9.5, 2.0), 0.7)[1]
 
 
+@pytest.mark.parametrize("a", [0.7, 1.0])  # at a = 1, p_{2,0} = 1 - a vanishes
+def test_multi_is_its_one_point_line_where_a_row_reflects(a):
+    s = complex(-3.0, 0.5)  # both rows, Re s and Re s - 1, take the reflection
+    assert bz.multi_hurwitz_line(s.real, a, 2, np.array([s.imag]))[0] == bz.multi_hurwitz(s, a, 2)
+
+
 def test_multi_line_matches_scalar():
     ts = np.linspace(1.0, 60.0, 241)
     row = bz.multi_hurwitz_line(1.75, 0.7, 2, ts)

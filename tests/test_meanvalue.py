@@ -290,6 +290,16 @@ def test_request_validation():
         MeanSquareRequest(kind="lerch", sigma=0.5, a=1.0, T=100.0)
     with pytest.raises(DomainError):
         MeanSquareRequest(kind="multi_hurwitz", sigma=1.5, a=1.0, T=100.0)
+    # a parameter of another kind would be ignored yet written to the CSV
+    with pytest.raises(DomainError):
+        MeanSquareRequest(kind="hurwitz", sigma=0.5, a=1.0, T=50.0,
+                          lam=Fraction(1, 3), w=(1.0, 2.0))
+    with pytest.raises(DomainError):
+        MeanSquareRequest(kind="lerch", sigma=0.5, a=1.0, T=50.0, lam=Fraction(1, 3), r=2)
+    with pytest.raises(DomainError):
+        MeanSquareRequest(kind="barnes", sigma=1.5, a=1.0, T=50.0, w=(1.0, 2.0), lam=1)
+    with pytest.raises(DomainError):
+        MeanSquareRequest(kind="multi_hurwitz", sigma=1.5, a=1.0, T=50.0, r=2, w=(1.0,))
 
 
 def test_measurement_csv_and_manifest(tmp_path):

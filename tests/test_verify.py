@@ -15,13 +15,14 @@ from zetaline.verify import (
     comparability,
     envelope_hurwitz,
     envelope_multi,
+    envelope_suites,
     mv_inequality,
     mv_ratio,
     mv_suite,
     oscillatory_integral,
     oscillatory_suite,
     run_suites,
-    _abs_sum_curve,
+    _abs_sum_curves,
     _envelope_curve,
     _t_nodes,
 )
@@ -70,6 +71,20 @@ def test_envelope_hurwitz_empty_grid_rejected():
         envelope_hurwitz(1.0, (), 100.0)
     with pytest.raises(DomainError):
         envelope_hurwitz(1.0, (0.5,), 1e6)
+
+
+def test_envelope_suites_sigma_minus_one_rows_match_mpmath(tmp_path):
+    # each sup sits at t = 2, where the t <= 2000 line takes the reflection
+    mpmath = pytest.importorskip("mpmath")
+    records = envelope_suites(out_dir=str(tmp_path))[:3]
+    with mpmath.workdps(30):
+        values = [abs(mpmath.zeta(mpmath.mpc(-1, 2), 1)), abs(mpmath.zeta(mpmath.mpc(-1, 2), 0.5)),
+                  abs(mpmath.zeta(mpmath.mpc(-2, 2), 1))]  # zeta_2(s, 1) = zeta(s - 1)
+    for rec, r, value in zip(records, (1, 1, 2), values):
+        row = (tmp_path / rec.artifacts[0]).read_text().splitlines()[1].split(",")
+        assert (float(row[0]), float(row[2])) == (-1.0, 2.0)
+        want = float(value) / _envelope_curve(r, -1.0, np.array([2.0]))[0]
+        assert abs(float(row[1]) - want) <= 64e-12 * want, rec.grid
 
 
 def test_envelope_multi_ones_absolute_region():
@@ -221,7 +236,7 @@ def test_comparability_rank_one():
 )
 def test_abs_sum_curve_matches_brute_force_boxes(r, w):
     a, sigma, x = 1.0, 1.5, 12
-    curve = _abs_sum_curve(r, a, w, sigma, x)
+    curve = _abs_sum_curves(r, a, [w], sigma, x)[0]
     for k in range(1, x + 1):
         box = [(a + sum(wj * mj for wj, mj in zip(w, m))) ** -sigma
                for m in np.ndindex(*([k + 1] * r))]
@@ -237,7 +252,7 @@ def test_abs_sum_curve_by_levels_keeps_the_box_sum_bits_at_a_1(w):
     box = np.add.outer(a + w[0] * m, w[1] * m) ** (-sigma)
     shell = np.maximum.outer(np.arange(x + 1), np.arange(x + 1))
     want = np.cumsum(np.bincount(shell.ravel(), box.ravel()))[1:]
-    assert np.array_equal(_abs_sum_curve(2, a, w, sigma, x), want)
+    assert np.array_equal(_abs_sum_curves(2, a, [w], sigma, x)[0], want)
 
 
 def test_comparability_domain_guards():

@@ -115,6 +115,14 @@ def test_line_batch_shares_rows_bitwise():
     assert single.tobytes() == multi[1].tobytes()
 
 
+def test_line_gate_reads_every_node():
+    # N = 4 terms serve t = 1 but not t = 50, and the gate must see that node
+    ts = np.array([1.0, 50.0])
+    zc.hurwitz_line(0.5, 1.0, ts[:1], n_terms=4)
+    with pytest.raises(AccuracyError):
+        zc.hurwitz_line_batch([1.5, 0.5], 1.0, ts, n_terms=4)
+
+
 def test_line_reruns_are_bit_identical():
     ts = np.linspace(1.0, 200.0, 2001)
     r1 = zc.hurwitz_line(0.5, 1.0, ts)
@@ -285,8 +293,11 @@ def test_reflection_residual_grid():
     assert max(residuals) <= 1e-9
 
 
-@pytest.mark.parametrize("a, s", [(1.5, complex(-3.0, 0.5)), (2.7, complex(-6.0, 2.0)),
-                                  (7.25, complex(-9.5, 0.0))])
+# points where the kernel cancels and the value takes the reflection fallback
+_REFLECTING = [(1.5, complex(-3.0, 0.5)), (2.7, complex(-6.0, 2.0)), (7.25, complex(-9.5, 0.0))]
+
+
+@pytest.mark.parametrize("a, s", _REFLECTING)
 def test_reflection_shifts_a_above_one(monkeypatch, a, s):
     # the reflection holds for 0 < a <= 1; a > 1 first peels off (a-1)^(-s), (a-2)^(-s), ...
     mpmath = pytest.importorskip("mpmath")
@@ -303,6 +314,27 @@ def test_reflection_shifts_a_above_one(monkeypatch, a, s):
     with mpmath.workdps(30):
         ref = complex(mpmath.zeta(mpmath.mpc(s.real, s.imag), a))
     assert abs(got - ref) <= 64e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("a, s", _REFLECTING)
+def test_scalar_is_its_one_point_line_where_it_reflects(a, s):
+    line = zc.hurwitz_line_batch([s.real], a, np.array([s.imag]))
+    assert line[0, 0] == zc.hurwitz_zeta_bounded(s, a)[0]
+
+
+@pytest.mark.parametrize("sigma", [-9.5, -5.0, -2.0, -1.0])
+@pytest.mark.parametrize("a", [0.3, 1.0])
+def test_line_reflects_its_small_t_nodes(sigma, a):
+    # N comes from the top node t = 2000, so at small t the kernel's partial
+    # sums reach ~N^(1 - sigma) and cancel; those nodes take the reflection
+    mpmath = pytest.importorskip("mpmath")
+    ts = np.array([0.5, 1.0, 2.0, 2000.0])
+    got = zc.hurwitz_line(sigma, a, ts)
+    tol = 64.0 * zc.DEFAULT_PRECISION.rel_tol
+    with mpmath.workdps(30):
+        for t, value in zip(ts[:-1], got):
+            ref = complex(mpmath.zeta(mpmath.mpc(sigma, float(t)), a))
+            assert abs(value - ref) <= tol * abs(ref), t
 
 
 def test_reflection_residual_rejects_bad_domain():
