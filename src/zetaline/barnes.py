@@ -155,7 +155,7 @@ def multi_hurwitz_line(
     prec: Precision = DEFAULT_PRECISION,
     n_terms: int | None = None,
 ) -> np.ndarray:
-    """zeta_r(sigma + i t, a) on a t-grid; all j-shifts share one phase matrix."""
+    """zeta_r(sigma + i t, a) on a t-grid; all j-shifts share their phase sums."""
     if not (1 <= r <= MAX_RANK):
         raise DomainError(f"multi_hurwitz_line supports rank 1..{MAX_RANK}, got {r}")
     ts = np.asarray(ts, dtype=float)

@@ -76,14 +76,9 @@ LambdaLike = Union[int, float, Fraction]
 # quadrature grid
 
 
-def grid_step(T: float, a: float, fixed: Optional[float] = None) -> float:
+def grid_step(T: float, a: float) -> float:
     """Dyadic-snapped Simpson step: floor(min(0.05, pi/(8 log(T+a+2)))*2^20)/2^20."""
-    if fixed is not None:
-        target = float(fixed)
-        if not (0 < target <= 1.0):
-            raise DomainError(f"fixed step must lie in (0, 1], got {target}")
-    else:
-        target = min(0.05, math.pi / (8.0 * math.log(T + a + 2.0)))
+    target = min(0.05, math.pi / (8.0 * math.log(T + a + 2.0)))
     h = math.floor(target * _STEP_SNAP) / _STEP_SNAP
     if h <= 0:
         raise DomainError(f"step underflow for T={T}")
@@ -95,11 +90,11 @@ def _interval_count(T: float, h: float) -> int:
     return max(n, 8)
 
 
-def simpson_nodes(T: float, a: float, fixed: Optional[float] = None) -> Tuple[np.ndarray, float, float]:
+def simpson_nodes(T: float, a: float) -> Tuple[np.ndarray, float, float]:
     """Global grid t = 1 + k h covering [1, T]; returns (nodes, h, T_eff)."""
     if T < 2.0:
         raise DomainError(f"mean-square integrals need T >= 2, got T={T}")
-    h = grid_step(T, a, fixed)
+    h = grid_step(T, a)
     n = _interval_count(T, h)
     ts = 1.0 + h * np.arange(n + 1, dtype=float)
     return ts, h, 1.0 + h * n
@@ -128,7 +123,6 @@ class MeanSquareRequest:
 
     kind: one of hurwitz, lerch, multi_hurwitz, barnes.
     lam applies to lerch, r to multi_hurwitz, w to barnes, each to no other kind.
-    step_fixed overrides the automatic step rule when set.
     """
 
     kind: str
@@ -138,7 +132,6 @@ class MeanSquareRequest:
     lam: Optional[LambdaLike] = None
     r: Optional[int] = None
     w: Optional[Tuple[float, ...]] = None
-    step_fixed: Optional[float] = None
 
     def __post_init__(self):
         if self.kind not in _T_MAX_DEFAULT:
@@ -233,7 +226,7 @@ def mean_square_grid(
         raise DomainError("T_values must be nonempty")
     t_sorted = sorted(float(T) for T in T_values)
     top = replace(req, T=t_sorted[-1])
-    ts, h, _ = simpson_nodes(top.T, top.a, top.step_fixed)
+    ts, h, _ = simpson_nodes(top.T, top.a)
     if integrand is not None:
         fvals = np.asarray(integrand(ts), dtype=float)
     else:

@@ -33,8 +33,9 @@ has two paths.  Long lines take a nonuniform FFT by Gaussian gridding
 Odlyzko & Schoenhage's multi-evaluation: an evenly spaced t-grid (the Simpson
 grids of the mean squares) is the mode set of one type-1 transform, and any
 other grid (the geometric sweeps) is interpolated from a uniform auxiliary
-grid.  Single points, short grids and rows whose amplitudes do not decay
-(sigma <= 0) take the direct phase matrix; `_phase_sum` states the rule.
+grid.  Single points and short grids take the direct phase matrix;
+`_phase_sum` states the rule.  Rows with sigma <= 0 take a shift count per
+octave of |t| (`_hurwitz_rows`), so their partial sums stay near the value.
 The transform costs O(N + nodes) plus an FFT instead of nodes x N.  Each
 term spreads onto the 2 _SPREAD grid points around its cell with Gaussian
 weights.  Where the terms are dense on the grid, as the ~90,000 lattice
@@ -137,32 +138,18 @@ def _phase_sum(logv: np.ndarray, amps, ts: np.ndarray) -> np.ndarray:
     * direct (`_direct_sum`): the phase matrix, nodes x N complex exps.
 
     Rule: the direct path takes the whole call when nodes x N does not exceed
-    the transform's count (single points, short grids), and takes every row
-    whose amplitudes do not decay, |amps[i, -1]| >= |amps[i, 0]| (callers
-    order logv upward).  Such a row's partial sums reach sum |amps| near
-    t = 0, and its caller's tail terms cancel them down to a far smaller
-    value (sigma <= 0 in the Euler-Maclaurin kernel).
-    The transform errs by a few ulp of sum |amps| at every node, while the
-    direct matrix rounds each t logv, an error that vanishes as t -> 0; only
-    the latter keeps those rows' small-t values.  Elsewhere the transform is
-    the more accurate, since it forms its phases exactly.  Rows do not depend
+    the transform's count (single points, short grids); otherwise every row
+    takes the transform.  It errs by a few ulp of sum |amps| at each node,
+    less than the matrix, which also rounds each t logv.  Rows do not depend
     on one another, and every sum runs in a fixed order without BLAS.
     """
     nt, n = ts.size, logv.size
-    rows = [i for i, amp in enumerate(amps) if n and abs(amp[-1]) < abs(amp[0])]
-    plan = _transform_plan(logv, ts) if rows and nt > 1 else None
+    plan = _transform_plan(logv, ts) if nt > 1 and n else None
     if plan is None or plan[-1] >= nt * n:
         return _direct_sum(logv, amps, ts)
     t_a, step, j_lo, j_hi, on_grid, _ = plan
-    fast = _grid_sums(logv, [amps[i] for i in rows], t_a, step, j_lo, j_hi)
-    if not on_grid:
-        fast = _interpolate(fast, ts / step - j_lo)
-    out = np.empty((len(amps), nt), dtype=complex)
-    out[rows] = fast
-    slow = [i for i in range(len(amps)) if i not in rows]
-    if slow:
-        out[slow] = _direct_sum(logv, [amps[i] for i in slow], ts)
-    return out
+    out = _grid_sums(logv, amps, t_a, step, j_lo, j_hi)
+    return out if on_grid else _interpolate(out, ts / step - j_lo)
 
 
 def _direct_sum(logv: np.ndarray, amps, ts: np.ndarray) -> np.ndarray:
@@ -382,9 +369,9 @@ def _em_kernel(
 
     Returns (values[S, T], err[S, T], cancel[S, T]), per node: err is the
     first omitted correction plus summation rounding, relative to the scale
-    max(|value|, (N+a)^(-sigma)); cancel is the rounding estimate relative
-    to |value| itself, which flags the cancellation-dominated corner
-    (deeply negative sigma at small |t|) and zeros of the function.
+    max(|value|, (N+a)^(-sigma)); cancel is the rounding of the sum the kernel
+    forms, eps log2(N+2) sum_m |amps_m|, relative to |value|, which flags
+    cancellation (partial sums far above the value) and zeros of the function.
     """
     N = n_terms
 
@@ -393,7 +380,8 @@ def _em_kernel(
     z = N + a
     logz = math.log(z)
 
-    out = _phase_sum(logv, [np.power(base, -sig) for sig in sigmas], ts)
+    amps = [np.power(base, -sig) for sig in sigmas]
+    out = _phase_sum(logv, amps, ts)
     errs = np.zeros(out.shape)
     cancels = np.zeros(out.shape)
     for i, sig in enumerate(sigmas):
@@ -417,12 +405,12 @@ def _em_kernel(
         omitted = _BERN_FAC[_EM_DEPTH + 1] * np.abs(poch) * (
             z ** (-sig - 2 * _EM_DEPTH - 1)
         )
-        top = max(a ** (-sig), z ** (-sig))
-        rounding = 1e-16 * math.log2(N + 2.0) * top
+        ulps = 1e-16 * math.log2(N + 2.0)
+        rounding = ulps * max(a ** (-sig), z ** (-sig))
         scale = np.maximum(np.abs(val), z ** (-sig))
         mag = np.maximum(np.abs(val), 1e-300)
         errs[i] = (omitted + rounding) / scale
-        cancels[i] = rounding / mag
+        cancels[i] = ulps * float(np.sum(amps[i])) / mag
     return out, errs, cancels
 
 
@@ -434,17 +422,35 @@ def _hurwitz_rows(
     n_terms: int | None = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Rows zeta_H(sigma_i + i t, a) and each row's largest err: the one path
-    of Hurwitz values and lines.  The Euler-Maclaurin kernel, N from max |t|
-    unless n_terms is given, and the reflection fallback node by node."""
+    of Hurwitz values and lines.  The Euler-Maclaurin kernel and the
+    reflection fallback node by node.  N comes from max |t| unless n_terms is
+    given, but without n_terms the nodes of sigma <= 0 rows split into octaves
+    of |t| + 10, each with N from its own top: those rows' partial sums reach
+    ~N^(1 - sigma), which a far top node makes cancel at small |t|."""
     if a <= 0:
         raise DomainError(f"zeta_H needs a > 0, got a={a}")
     ts = np.asarray(ts, dtype=float)
     n = n_terms if n_terms is not None else _shift_count(float(np.max(np.abs(ts), initial=0.0)))
-    vals, errs, cancels = _em_kernel(sigmas, a, ts, n)
+    low = [i for i, sig in enumerate(sigmas) if sig <= 0.0]
+    octave = np.frexp(np.abs(ts) + 10.0)[1] if low and n_terms is None and ts.size > 1 else None
+    if octave is None or np.all(octave == octave[0]):
+        vals, errs, cancels = _em_kernel(sigmas, a, ts, n)
+    else:
+        vals = np.empty((len(sigmas), ts.size), dtype=complex)
+        errs, cancels = np.empty(vals.shape), np.empty(vals.shape)
+        high = [i for i, sig in enumerate(sigmas) if sig > 0.0]
+        bands = [(low, octave == e) for e in np.unique(octave)]
+        # sigma > 0 rows keep one band over every node, N from the top node
+        for rows, cols in [(high, np.ones(ts.size, bool))] + bands:
+            if rows:
+                block, top = np.ix_(rows, cols), float(np.max(np.abs(ts[cols])))
+                vals[block], errs[block], cancels[block] = _em_kernel(
+                    [sigmas[i] for i in rows], a, ts[cols], _shift_count(top)
+                )
     for i, sig in enumerate(sigmas):
         if sig < -0.5:
-            # cancellation-dominated corner (deeply negative sigma, small |t|):
-            # reflect to Re = 1 - sigma where the series side converges fast
+            # cancellation-dominated nodes (the kernel's sum far above the
+            # value): reflect to Re = 1 - sigma where the series converges fast
             for k in np.flatnonzero(cancels[i] > 8.0 * prec.rel_tol):
                 vals[i, k], errs[i, k] = _hurwitz_reflected(complex(sig, ts[k]), a, prec)
     return vals, errs.max(axis=1, initial=0.0)
@@ -535,9 +541,10 @@ def hurwitz_line(
 ) -> np.ndarray:
     """zeta_H(sigma + i t, a) for an array of ordinates t.
 
-    One shift count (from max |t|) serves the whole batch so the integrand
-    of a quadrature run is a single smooth family.  At sigma < -0.5, nodes
-    where the kernel cancels take the reflection fallback one by one.
+    One shift count (from max |t|) serves a sigma > 0 batch, so the integrand
+    of a quadrature run is a single smooth family; at sigma <= 0 each octave
+    of |t| takes its own.  At sigma < -0.5, nodes where the kernel cancels
+    take the reflection fallback one by one.
     """
     return hurwitz_line_batch([sigma], a, ts, prec, n_terms)[0]
 
@@ -549,8 +556,8 @@ def hurwitz_line_batch(
     prec: Precision = DEFAULT_PRECISION,
     n_terms: int | None = None,
 ) -> np.ndarray:
-    """Rows zeta_H(sigma_i + i t, a) sharing one phase matrix across sigma_i,
-    with the reflection fallback node by node (`_hurwitz_rows`)."""
+    """Rows zeta_H(sigma_i + i t, a) sharing their phase sums across sigma_i,
+    by octave of |t| at sigma <= 0, with reflection node by node (`_hurwitz_rows`)."""
     vals, errs = _hurwitz_rows(list(sigmas), a, ts, prec, n_terms)
     _gate("hurwitz_line", errs, prec)
     return vals

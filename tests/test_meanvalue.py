@@ -11,6 +11,7 @@ from zetaline.meanvalue import (
     MeanSquareRequest,
     MeanSquareResult,
     Prediction,
+    _integrate_with_richardson,
     grid_step,
     mean_square,
     mean_square_grid,
@@ -23,7 +24,7 @@ from zetaline.meanvalue import (
     simpson_nodes,
     write_measurements_csv,
 )
-from zetaline.zetacore import DEFAULT_PRECISION, hurwitz_zeta, lerch_line, lerch_zeta
+from zetaline.zetacore import DEFAULT_PRECISION, hurwitz_line, hurwitz_zeta, lerch_line, lerch_zeta
 
 from fractions import Fraction
 
@@ -70,13 +71,14 @@ def test_monotone_in_T():
 
 
 def test_halving_step_within_richardson_budget():
-    req = MeanSquareRequest(kind="hurwitz", sigma=0.5, a=1.0, T=100.0, step_fixed=0.05)
-    coarse = mean_square(req)
-    fine = mean_square(
-        MeanSquareRequest(kind="hurwitz", sigma=0.5, a=1.0, T=100.0, step_fixed=0.025)
-    )
-    assert fine.step * 2.0 == coarse.step
-    assert abs(coarse.value - fine.value) <= 4.0 * coarse.richardson_err + 1e-12
+    # |zeta(1/2 + it)|^2 over [1, 100] by Simpson on t = 1 + k h, h = 0.05 and h / 2
+    runs = []
+    for h in (0.05, 0.025):
+        k = int(round(99.0 / h))
+        ts = 1.0 + h * np.arange(k + 1, dtype=float)
+        runs.append(_integrate_with_richardson(np.abs(hurwitz_line(0.5, 1.0, ts)) ** 2, h, k))
+    (coarse, coarse_err), (fine, _) = runs
+    assert abs(coarse - fine) <= 4.0 * coarse_err + 1e-12
 
 
 def test_grid_matches_single_runs():

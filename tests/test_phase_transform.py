@@ -1,9 +1,10 @@
 """The nonuniform-FFT path of the phase sums against mpmath and the direct matrix.
 
 Long evenly spaced grids (the Simpson grids) take the type-1 transform, other
-long grids (the geometric sweeps) the interpolated one, and rows whose
-amplitudes do not decay or short grids the direct phase matrix; see
-`zetacore._phase_sum`.  The transform spreads sources that are dense on its
+long grids (the geometric sweeps) the interpolated one, and single points and
+short grids the direct phase matrix, whatever the rows' amplitudes; see
+`zetacore._phase_sum`.  Hurwitz rows with sigma <= 0 reach the transform in
+octaves of |t|, each with its own shift count; see `zetacore._hurwitz_rows`.  The transform spreads sources that are dense on its
 grid (Barnes lattice values) by cell moments, other sources by taps; see
 `zetacore._grid_sums`.
 """
@@ -71,23 +72,23 @@ def test_batch_rows_equal_single_rows(grid):
         assert barnes_truncated_line(sigma, 1.0, w, ts)[0].tobytes() == row.tobytes()
 
 
-def test_rule_sends_non_decaying_rows_and_short_grids_to_the_direct_path():
+def test_rule_sends_long_calls_to_the_transform_and_short_grids_to_the_direct_path():
     ts = _t_nodes(2000.0)
     base = np.arange(2412, dtype=float) + 1.0
     logv = np.log(base)
-    growing, flat, decaying = base ** 1.0, base ** 0.0, base ** -0.5
-    rows = zc._phase_sum(logv, [growing, flat, decaying], ts)
-    direct = zc._direct_sum(logv, [growing, flat], ts)
-    assert rows[:2].tobytes() == direct.tobytes()
-    # the decaying row takes the transform, whatever rows share its call
-    alone = zc._phase_sum(logv, [decaying], ts)[0]
-    assert rows[2].tobytes() == alone.tobytes()
-    direct = zc._direct_sum(logv, [decaying], ts)[0]
-    assert alone.tobytes() != direct.tobytes()
-    assert np.max(np.abs(alone - direct)) <= 1e-13 * np.sum(decaying)
+    amps = [base ** 1.0, base ** 0.0, base ** -0.5]
+    rows = zc._phase_sum(logv, amps, ts)
+    # every row of a long call takes the transform, whatever its amplitudes
+    # and whatever rows share its call
+    for row, amp in zip(rows, amps):
+        alone = zc._phase_sum(logv, [amp], ts)[0]
+        assert row.tobytes() == alone.tobytes()
+        direct = zc._direct_sum(logv, [amp], ts)[0]
+        assert alone.tobytes() != direct.tobytes()
+        assert np.max(np.abs(alone - direct)) <= 1e-13 * np.sum(amp)
     for short in (ts[:1], ts[:4]):
-        got = zc._phase_sum(logv, [decaying], short)
-        assert got.tobytes() == zc._direct_sum(logv, [decaying], short).tobytes()
+        got = zc._phase_sum(logv, amps[2:], short)
+        assert got.tobytes() == zc._direct_sum(logv, amps[2:], short).tobytes()
 
 
 def test_dense_barnes_batch_matches_exact_phase_sums():

@@ -337,6 +337,58 @@ def test_line_reflects_its_small_t_nodes(sigma, a):
             assert abs(value - ref) <= tol * abs(ref), t
 
 
+# small-t nodes under a far top node: each octave of |t| takes its own shift count
+_OCTAVE_GRID = np.concatenate([[0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0],
+                               np.linspace(200.0, 2000.0, 7)])
+
+
+def _assert_line_matches_mpmath(sigma, a, ts, got):
+    mpmath = pytest.importorskip("mpmath")
+    tol = 64.0 * zc.DEFAULT_PRECISION.rel_tol
+    with mpmath.workdps(30):
+        for t, value in zip(ts, got):
+            ref = complex(mpmath.zeta(mpmath.mpc(sigma, float(t)), a))
+            assert abs(value - ref) <= tol * abs(ref), (float(t), abs(value - ref) / abs(ref))
+
+
+@pytest.mark.parametrize("sigma", [-1.0, -0.5])
+@pytest.mark.parametrize("a", [0.3, 1.0])
+def test_negative_sigma_line_meets_its_tolerance_at_every_node(sigma, a):
+    _assert_line_matches_mpmath(sigma, a, _OCTAVE_GRID, zc.hurwitz_line(sigma, a, _OCTAVE_GRID))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3(b): at t = 1400 the line is 1.6e-10 "
+                   "off, and its estimate leaves out the rounding of t log(m+a)")
+def test_line_at_sigma_minus_two_meets_its_tolerance_or_raises():
+    try:
+        got = zc.hurwitz_line(-2.0, 0.3, _OCTAVE_GRID)
+    except AccuracyError:
+        return
+    _assert_line_matches_mpmath(-2.0, 0.3, _OCTAVE_GRID, got)
+
+
+@pytest.mark.parametrize("s, a", [(complex(-5.0, 100.0), 0.3), (complex(-5.5, 1000.0), 0.3),
+                                  (complex(-10.0, 50.0), 50.0), (complex(-8.0, 75.0), 50.0)])
+def test_band_scalars_reflect_to_their_tolerance(s, a):
+    # the kernel's partial sums there reach sum (m+a)^(-sigma), far above the value
+    mpmath = pytest.importorskip("mpmath")
+    got = zc.hurwitz_zeta(s, a)
+    with mpmath.workdps(30):
+        ref = complex(mpmath.zeta(mpmath.mpc(s.real, s.imag), a))
+    assert abs(got - ref) <= 64.0 * zc.DEFAULT_PRECISION.rel_tol * abs(ref)
+
+
+def test_nonpositive_sigma_simpson_line_leaves_the_phase_matrix(monkeypatch):
+    # only the lowest octave (t < 6, N = 20 terms) is short enough for the
+    # matrix; the rest of the 19,981 nodes take the transform
+    calls = []
+    direct = zc._direct_sum
+    monkeypatch.setattr(zc, "_direct_sum", lambda logv, amps, ts:
+                        calls.append((float(np.max(ts)), logv.size)) or direct(logv, amps, ts))
+    zc.hurwitz_line(0.0, 1.0, simpson_nodes(1000.0, 1.0)[0])
+    assert all(t_top < 6.0 and n <= zc._shift_count(6.0) for t_top, n in calls)
+
+
 def test_reflection_residual_rejects_bad_domain():
     with pytest.raises(DomainError):
         zc.functional_equation_residual(0.5, Fraction(1, 2), 1)
