@@ -162,7 +162,7 @@ def cmd_meansquare(ns, argv: Sequence[str]) -> int:
                           f"T values, got {len(T_values)}")
 
     measured = mean_square_grid(req, T_values, prec)
-    rows = [measurement_row(req, T_eff, res) for T_eff, res in measured]
+    rows = [measurement_row(req, res) for _, res in measured]
     write_measurements_csv(ns.out, rows)
     outputs = [ns.out]
     warned = []

@@ -92,7 +92,7 @@ def _interval_count(T: float, h: float) -> int:
 
 def simpson_nodes(T: float, a: float) -> Tuple[np.ndarray, float, float]:
     """Global grid t = 1 + k h covering [1, T]; returns (nodes, h, T_eff)."""
-    if T < 2.0:
+    if not T >= 2.0:  # NaN fails too
         raise DomainError(f"mean-square integrals need T >= 2, got T={T}")
     h = grid_step(T, a)
     n = _interval_count(T, h)
@@ -107,10 +107,22 @@ def _simpson_prefix(values: np.ndarray, h: float, k: int) -> float:
     return h * (s / 3.0)
 
 
-def _integrate_with_richardson(values: np.ndarray, h: float, k: int) -> Tuple[float, float]:
-    full = _simpson_prefix(values, h, k)
-    half = _simpson_prefix(values[::2], 2.0 * h, k // 2)
-    return full, abs(full - half) / 15.0
+def _prefix_integrals(
+    values: np.ndarray, h: float, T_values: Sequence[float]
+) -> List[Tuple[float, float, float]]:
+    """(T_eff, Simpson integral over [1, T_eff], Richardson estimate) per T.
+
+    Each T snaps to the nearest index divisible by four, capped at the last node.
+    """
+    out: List[Tuple[float, float, float]] = []
+    for T in T_values:
+        if not T >= 2.0:  # NaN fails too
+            raise DomainError(f"mean-square integrals need T >= 2, got T={T}")
+        k = min(_interval_count(T, h), values.size - 1)
+        full = _simpson_prefix(values, h, k)
+        half = _simpson_prefix(values[::2], 2.0 * h, k // 2)
+        out.append((1.0 + h * k, full, abs(full - half) / 15.0))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -194,51 +206,32 @@ def _line_values(req: MeanSquareRequest, ts: np.ndarray, prec: Precision) -> np.
     raise DomainError(f"unknown kind {req.kind!r}")
 
 
-IntegrandHook = Callable[[np.ndarray], np.ndarray]
-
-
-def mean_square(
-    req: MeanSquareRequest,
-    prec: Precision = DEFAULT_PRECISION,
-    integrand: Optional[IntegrandHook] = None,
-) -> MeanSquareResult:
-    """integral_1^T |f(sigma+it)|^2 dt: the single-T case of `mean_square_grid`.
-
-    ``integrand`` is a test hook mapping the node array to real values,
-    bypassing the kind-selected evaluator.
-    """
-    return mean_square_grid(req, [req.T], prec, integrand)[0][1]
+def mean_square(req: MeanSquareRequest, prec: Precision = DEFAULT_PRECISION) -> MeanSquareResult:
+    """integral_1^T |f(sigma+it)|^2 dt: the single-T case of `mean_square_grid`."""
+    return mean_square_grid(req, [req.T], prec)[0][1]
 
 
 def mean_square_grid(
     req: MeanSquareRequest,
     T_values: Sequence[float],
     prec: Precision = DEFAULT_PRECISION,
-    integrand: Optional[IntegrandHook] = None,
 ) -> List[Tuple[float, MeanSquareResult]]:
     """Mean squares at several T sharing one evaluation up to max(T_values).
 
-    Every requested T is snapped to the nearest index divisible by four on
-    the common grid, so all prefixes are valid Simpson partitions of the
-    same node set (and of its half-resolution subset).
+    `_prefix_integrals` snaps each T to that one node set and integrates it.
     """
     if not T_values:
         raise DomainError("T_values must be nonempty")
     t_sorted = sorted(float(T) for T in T_values)
     top = replace(req, T=t_sorted[-1])
     ts, h, _ = simpson_nodes(top.T, top.a)
-    if integrand is not None:
-        fvals = np.asarray(integrand(ts), dtype=float)
-    else:
-        fvals = np.abs(_line_values(top, ts, prec)) ** 2
+    fvals = np.abs(_line_values(top, ts, prec)) ** 2
     out: List[Tuple[float, MeanSquareResult]] = []
-    for T in t_sorted:
-        k = min(_interval_count(T, h), ts.size - 1)
-        value, rich = _integrate_with_richardson(fvals, h, k)
+    for t_eff, value, rich in _prefix_integrals(fvals, h, t_sorted):
         warn = rich > 0.01 * abs(value) if value != 0.0 else rich > 0.0
-        t_eff = 1.0 + h * k
         out.append((t_eff, MeanSquareResult(
-            value=value, step=h, richardson_err=rich, samples=k + 1,
+            value=value, step=h, richardson_err=rich,
+            samples=round((t_eff - 1.0) / h) + 1,  # exact: h is dyadic
             T_effective=t_eff, accuracy_warning=bool(warn),
         )))
     return out
@@ -268,18 +261,13 @@ def mixed_mean(
         raise DomainError(
             "mixed_mean excludes the top diagonal pair (k, l) = (r-1, r-1)"
         )
-    if T < 2.0:
-        raise DomainError("mixed_mean needs T >= 2")
     ts, h, _ = simpson_nodes(T, a)
     if k == l:
-        row = hurwitz_line(sigma - k, a, ts, prec)
-        prod = np.abs(row) ** 2
-        value, _ = _integrate_with_richardson(prod, h, ts.size - 1)
-        return complex(value, 0.0)
+        prod = np.abs(hurwitz_line(sigma - k, a, ts, prec)) ** 2
+        return complex(_prefix_integrals(prod, h, [T])[0][1], 0.0)
     rows = hurwitz_line_batch([sigma - k, sigma - l], a, ts, prec)
     prod = rows[0] * np.conj(rows[1])
-    re, _ = _integrate_with_richardson(prod.real.copy(), h, ts.size - 1)
-    im, _ = _integrate_with_richardson(prod.imag.copy(), h, ts.size - 1)
+    re, im = (_prefix_integrals(part.copy(), h, [T])[0][1] for part in (prod.real, prod.imag))
     return complex(re, im)
 
 
@@ -504,9 +492,9 @@ def residual_report(
 _CSV_COLUMNS = ("T", "sigma", "a", "kind", "params", "value", "step", "richardson_err")
 
 
-def measurement_row(req: MeanSquareRequest, T_eff: float, res: MeanSquareResult) -> Dict[str, str]:
+def measurement_row(req: MeanSquareRequest, res: MeanSquareResult) -> Dict[str, str]:
     return {
-        "T": repr(float(T_eff)),
+        "T": repr(float(res.T_effective)),
         "sigma": repr(float(req.sigma)),
         "a": repr(float(req.a)),
         "kind": req.kind,

@@ -43,7 +43,7 @@ from .barnes import (
 )
 from .combinatorics import reduction_coefficients
 from .errors import DomainError
-from .meanvalue import _interval_count, _simpson_prefix, grid_step, simpson_nodes
+from .meanvalue import _prefix_integrals, grid_step, simpson_nodes
 from .zetacore import functional_equation_residual, hurwitz_line_batch
 
 __all__ = [
@@ -422,8 +422,8 @@ def comparability(
     if not (r - 1 < sigma < r):
         raise DomainError(f"comparability needs r-1 < sigma < r, got {sigma}")
     cps = sorted(float(T) for T in T_checkpoints)
-    if not cps or cps[0] < 2.0:
-        raise DomainError("checkpoints must be >= 2")
+    if not cps:
+        raise DomainError("comparability needs a checkpoint")
     ts, h, _ = simpson_nodes(cps[-1], a)
     ones_line = multi_hurwitz_line(sigma, a, r, ts)
     unit_w = all(abs(x - 1.0) <= 1e-12 for x in w)
@@ -451,16 +451,12 @@ def comparability(
     raw_max = float(raw.max())
     raw_min = float(raw.min())
 
-    sq_w = abs_w ** 2
-    sq_ones = abs_ones ** 2
     ms_rows: List[Sequence] = []
     ms_dev = 1.0
-    for T in cps:
-        k = min(_interval_count(T, h), ts.size - 1)
-        num = _simpson_prefix(sq_w, h, k)
-        den = _simpson_prefix(sq_ones, h, k)
+    nums, dens = (_prefix_integrals(sq, h, cps) for sq in (abs_w ** 2, abs_ones ** 2))
+    for (T_eff, num, _), (_, den, _) in zip(nums, dens):
         ratio = num / den
-        ms_rows.append((f"meansq_ratio_T={1.0 + h * k}", ratio))
+        ms_rows.append((f"meansq_ratio_T={T_eff}", ratio))
         ms_dev = max(ms_dev, ratio, 1.0 / ratio)
     observed = max(abs_max, 1.0 / abs_min, ms_dev)
     grid = (

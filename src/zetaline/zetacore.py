@@ -10,8 +10,9 @@ midpoint term ``(N+a)^(-s)/2`` and ``_EM_DEPTH`` Bernoulli corrections
 
 with the remainder estimated by the first omitted correction.  The shift
 count ``N = ceil(shift_count_factor*(|t|+10))`` keeps the correction ratio
-``(|s+2k| / (2*pi*(N+a)))^2`` far below one over the whole supported region,
-so the default depth reaches ~1e-15 relative accuracy.
+``(|s+2k| / (2*pi*(N+a)))^2`` far below one over the whole supported region.
+The floor is the rounding of ``t*log(m+a)``, which err omits (ROADMAP item 3):
+4.7e-13 relative at 1/2 + 1000i and 5.0e-11 at 1/2 + 10^4 i, against mpmath.
 
 The Lerch function ``zeta_L(s, a, lambda) = sum_m e^(2*pi*i*m*lambda) (m+a)^(-s)``
 is evaluated for rational ``lambda = p/q`` by the exact q-fold reduction

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 import zetaline.cli
+import zetaline.meanvalue
 import zetaline.verify
 from zetaline.barnes import barnes_truncated, multi_hurwitz_bounded
 from zetaline.cli import build_parser, main
-from zetaline.meanvalue import mean_square_grid
 from zetaline.verify import oscillatory_suite
 from zetaline.zetacore import lerch_zeta_bounded, riemann_zeta
 
@@ -216,6 +216,16 @@ def test_meansquare_predict_pipeline(capsys, tmp_path):
         (tmp_path / "crit.predict.json").read_bytes()
 
 
+@pytest.mark.parametrize("grid", ["-50,1,100,200", "100,nan,200"])
+def test_meansquare_rejects_every_T_below_two(capsys, tmp_path, grid):
+    out = str(tmp_path / "ms.csv")
+    code, stdout, err = run_cli(capsys, "meansquare", "--kind", "hurwitz", "--sigma", "0.5",
+                                "--a", "1", f"--T-grid={grid}", "--out", out)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert os.listdir(tmp_path) == []
+
+
 def test_meansquare_missing_out_is_io_error(capsys):
     code, _, err = run_cli(capsys, "meansquare", "--kind", "hurwitz",
                            "--sigma", "3", "--a", "1", "--T", "100")
@@ -240,15 +250,15 @@ def test_meansquare_reports_accuracy_warnings(capsys, tmp_path, monkeypatch):
     _, _, err = run_cli(capsys, *args, "--out", out)
     assert json.load(open(out + ".manifest.json"))["accuracy_warnings"] == []
     assert err == ""
-    # an integrand the Simpson step cannot resolve makes Richardson warn
-    monkeypatch.setattr(zetaline.cli, "mean_square_grid", functools.partial(
-        mean_square_grid, integrand=lambda ts: np.cos(30.0 * ts)))
+    # a bump narrower than the Simpson step makes Richardson warn at every T
+    monkeypatch.setattr(zetaline.meanvalue, "_line_values",
+                        lambda req, ts, prec: np.exp(-((ts - 37.3) / 0.03) ** 2))
     out = str(tmp_path / "rough.csv")
     code, _, err = run_cli(capsys, *args, "--out", out)
     assert code == 0
     warned = json.load(open(out + ".manifest.json"))["accuracy_warnings"]
     csv_T = [float(line.split(",")[0]) for line in open(out).read().splitlines()[1:]]
-    assert warned and set(warned) <= set(csv_T)
+    assert warned == csv_T and len(warned) == 2
     lines = err.splitlines()
     assert len(lines) == len(warned)
     assert all(line.startswith(f"warning: T={T!r}: ") for line, T in zip(lines, warned))

@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
+import zetaline.meanvalue
 from zetaline.errors import DomainError, UnsupportedRegionError
 from zetaline.meanvalue import (
     MeanSquareRequest,
     MeanSquareResult,
     Prediction,
-    _integrate_with_richardson,
+    _prefix_integrals,
     grid_step,
     mean_square,
     mean_square_grid,
@@ -44,9 +45,10 @@ def test_step_rule_snaps_to_dyadic():
     assert float(h5 * 2 ** 20).is_integer()
 
 
-def test_constant_integrand_is_exact_length():
+def test_constant_integrand_is_exact_length(monkeypatch):
     req = MeanSquareRequest(kind="hurwitz", sigma=3.0, a=1.0, T=101.0)
-    res = mean_square(req, integrand=lambda ts: np.ones_like(ts))
+    monkeypatch.setattr(zetaline.meanvalue, "_line_values", lambda req, ts, prec: np.ones_like(ts))
+    res = mean_square(req)
     # length of the snapped interval, bit-for-bit
     assert res.value == res.T_effective - 1.0
     assert res.richardson_err == 0.0
@@ -76,8 +78,9 @@ def test_halving_step_within_richardson_budget():
     for h in (0.05, 0.025):
         k = int(round(99.0 / h))
         ts = 1.0 + h * np.arange(k + 1, dtype=float)
-        runs.append(_integrate_with_richardson(np.abs(hurwitz_line(0.5, 1.0, ts)) ** 2, h, k))
-    (coarse, coarse_err), (fine, _) = runs
+        runs.append(_prefix_integrals(np.abs(hurwitz_line(0.5, 1.0, ts)) ** 2, h, [100.0])[0])
+    (T_coarse, coarse, coarse_err), (T_fine, fine, _) = runs
+    assert T_coarse == T_fine == 100.0
     assert abs(coarse - fine) <= 4.0 * coarse_err + 1e-12
 
 
@@ -234,7 +237,7 @@ def test_mixed_mean_diagonal_equals_mean_square():
     val = mixed_mean(0, 0, 1.6, 1.0, 60.0)
     ref = mean_square(MeanSquareRequest(kind="hurwitz", sigma=1.6, a=1.0, T=60.0))
     assert val.imag == 0.0
-    assert val.real == pytest.approx(ref.value, rel=1e-13)
+    assert val.real == ref.value
 
 
 def test_mixed_mean_off_diagonal_linear_term():
@@ -254,6 +257,24 @@ def test_mixed_mean_domain_guards():
         mixed_mean(0, 2, 1.6, 1.0, 100.0)  # shift beyond rank
     with pytest.raises(DomainError):
         mixed_mean(0, 0, 1.6, 1.5, 100.0)  # a outside (0, 1]
+
+
+def test_every_T_is_checked_and_nan_is_a_domain_error():
+    nan = float("nan")
+    with pytest.raises(DomainError):
+        simpson_nodes(nan, 1.0)
+    with pytest.raises(DomainError):
+        mixed_mean(0, 1, 1.6, 1.0, nan)
+    req = MeanSquareRequest(kind="hurwitz", sigma=0.5, a=1.0, T=200.0)
+    for T_values in ([-50.0, 1.0, 100.0, 200.0], [100.0, nan, 200.0], [nan, 200.0]):
+        with pytest.raises(DomainError):
+            mean_square_grid(req, T_values)
+    values = np.ones(9)
+    for T in (1.0, nan):
+        with pytest.raises(DomainError):
+            _prefix_integrals(values, 0.25, [3.0, T])
+    # a T past the last node is capped there
+    assert _prefix_integrals(values, 0.25, [2.0, 50.0]) == [(3.0, 2.0, 0.0), (3.0, 2.0, 0.0)]
 
 
 def test_lerch_line_matches_scalar():
@@ -307,7 +328,7 @@ def test_request_validation():
 def test_measurement_csv_and_manifest(tmp_path):
     req = MeanSquareRequest(kind="hurwitz", sigma=0.5, a=1.0, T=64.0)
     res = mean_square(req)
-    row = measurement_row(req, res.T_effective, res)
+    row = measurement_row(req, res)
     path = tmp_path / "rows.csv"
     write_measurements_csv(path, [row])
     text = path.read_text()

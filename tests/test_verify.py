@@ -10,6 +10,7 @@ import pytest
 
 from zetaline.barnes import barnes_truncated_line
 from zetaline.errors import DomainError
+from zetaline.meanvalue import MeanSquareRequest, mean_square_grid
 from zetaline.verify import (
     VerdictRecord,
     comparability,
@@ -223,6 +224,23 @@ def test_comparability_general_weights():
             assert 1.0 / 8.0 <= val <= 8.0
     # raw modulus extremes stay in the record even when wild
     assert "raw_modulus_ratio_max" in det and "raw_modulus_ratio_min" in det
+
+
+def test_comparability_mean_square_ratio_is_the_mean_square_grid_ratio():
+    details = dict(comparability(2, 1.0, (1.0, 2.0), 1.5, T_checkpoints=(50.0, 100.0)).details)
+    barnes, multi = (
+        mean_square_grid(MeanSquareRequest(kind=kind, sigma=1.5, a=1.0, T=100.0, **extra),
+                         [50.0, 100.0])
+        for kind, extra in (("barnes", {"w": (1.0, 2.0)}), ("multi_hurwitz", {"r": 2}))
+    )
+    for (T_eff, num), (_, den) in zip(barnes, multi):
+        assert details[f"meansq_ratio_T={T_eff}"] == num.value / den.value
+
+
+def test_comparability_checks_every_checkpoint():
+    for cps in ((float("nan"),), (50.0, float("nan"), 100.0), (1.0, 50.0)):
+        with pytest.raises(DomainError):
+            comparability(2, 1.0, (1.0, 2.0), 1.5, T_checkpoints=cps)
 
 
 def test_comparability_rank_one():
