@@ -8,9 +8,9 @@ Two families are implemented.
   ``sum_{j<r} p_{r,j}(a) zeta_H(s - j, a)`` with the reduction coefficients
   from :mod:`zetaline.combinatorics`.  This form inherits the full analytic
   continuation of the Hurwitz zeta (poles at s = 1, ..., r; ``_check_pole`` is
-  the one rank-r guard, shared with the truncated line).  The scalar is the
-  one-point line, its Hurwitz terms gated like ``hurwitz_zeta_bounded``, so
-  its bound is ``sum_j |p_{r,j}| err_j``; ``multi_hurwitz`` is its value.
+  the one rank-r guard, shared with the truncated line).  Only nonzero terms are
+  evaluated (p_{r,0}(1) = 0 for r >= 2).  The scalar is the one-point line, each
+  term gated like ``hurwitz_zeta_bounded``, so its bound is ``sum_j |p_{r,j}| err_j``.
 
 * ``barnes_direct`` / ``barnes_truncated_line``: general positive weights ``w``.
   The direct evaluator needs ``Re s > r + 0.1`` and collapses the lattice one
@@ -111,10 +111,16 @@ def _check_pole(sigma: float, ts: np.ndarray, r: int) -> None:
 # equal weights: exact binomial collapse
 
 
-def _combine(coefs: Sequence[float], rows) -> np.ndarray:
-    """sum_j coefs[j] rows[j] over the nonzero coefs (p_{r,r-1} never vanishes)."""
-    terms = [cf * row for cf, row in zip(coefs, rows) if cf != 0.0]
-    return sum(terms[1:], terms[0])
+def _reduction_terms(r: int, a: float) -> list[Tuple[int, float]]:
+    """The nonzero terms (j, p_{r,j}(a)); `reduction_coefficients` checks the rank."""
+    coefs = [float(c) for c in reduction_coefficients(r, a).coeffs]
+    return [(j, cf) for j, cf in enumerate(coefs) if cf != 0.0]
+
+
+def _combine(terms: Sequence[Tuple[int, float]], rows) -> np.ndarray:
+    """sum_j p_{r,j} rows[j], one row per term (p_{r,r-1} never vanishes)."""
+    parts = [cf * row for (_, cf), row in zip(terms, rows)]
+    return sum(parts[1:], parts[0])
 
 
 def multi_hurwitz_bounded(
@@ -127,17 +133,14 @@ def multi_hurwitz_bounded(
     term is gated like `hurwitz_zeta_bounded`, with its DomainError and AccuracyError.
     """
     s = complex(s)
-    if not (1 <= r <= MAX_RANK):
-        raise DomainError(f"multi_hurwitz supports rank 1..{MAX_RANK}, got {r}")
+    terms = _reduction_terms(r, a)
     _check_pole(s.real, np.array([s.imag]), r)
-    coefs = [float(c) for c in reduction_coefficients(r, a).coeffs]
-    live = [j for j, cf in enumerate(coefs) if cf != 0.0]
-    for j in live:
+    for j, _ in terms:
         _check_hurwitz_domain("hurwitz_zeta", s - j, a)
-    vals, errs = _hurwitz_rows([s.real - j for j in live], a, np.array([s.imag]), prec)
+    vals, errs = _hurwitz_rows([s.real - j for j, _ in terms], a, np.array([s.imag]), prec)
     _gate("hurwitz_zeta", errs, prec)
-    err = sum(abs(coefs[j]) * float(e) for j, e in zip(live, errs))
-    return complex(_combine([coefs[j] for j in live], vals)[0]), err
+    err = sum(abs(cf) * float(e) for (_, cf), e in zip(terms, errs))
+    return complex(_combine(terms, vals)[0]), err
 
 
 def multi_hurwitz(
@@ -155,16 +158,12 @@ def multi_hurwitz_line(
     prec: Precision = DEFAULT_PRECISION,
     n_terms: int | None = None,
 ) -> np.ndarray:
-    """zeta_r(sigma + i t, a) on a t-grid; all j-shifts share their phase sums."""
-    if not (1 <= r <= MAX_RANK):
-        raise DomainError(f"multi_hurwitz_line supports rank 1..{MAX_RANK}, got {r}")
+    """zeta_r(sigma + i t, a) on a t-grid; the nonzero j-shifts share their phase sums."""
+    terms = _reduction_terms(r, a)
     ts = np.asarray(ts, dtype=float)
     _check_pole(sigma, ts, r)
-    coefs = [float(c) for c in reduction_coefficients(r, a).coeffs]
-    rows = hurwitz_line_batch(
-        [sigma - j for j in range(r)], a, ts, prec, n_terms
-    )
-    return _combine(coefs, rows)
+    rows = hurwitz_line_batch([sigma - j for j, _ in terms], a, ts, prec, n_terms)
+    return _combine(terms, rows)
 
 
 # ---------------------------------------------------------------------------

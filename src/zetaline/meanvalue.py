@@ -85,19 +85,22 @@ def grid_step(T: float, a: float) -> float:
     return h
 
 
-def _interval_count(T: float, h: float) -> int:
-    n = int(round((T - 1.0) / (4.0 * h))) * 4
-    return max(n, 8)
+def _simpson_grid(T_values: Sequence[float], a: float) -> Tuple[np.ndarray, float, List[int]]:
+    """(nodes, h, ks): the global grid t = 1 + k h up to the largest T, and each
+    T's interval count k, the nearest multiple of four and at least 8, so the
+    largest T's k is the last node.  Every T is checked before anything is built."""
+    for T in T_values:
+        if not T >= 2.0:  # NaN fails too
+            raise DomainError(f"mean-square integrals need T >= 2, got T={T}")
+    h = grid_step(max(T_values), a)
+    ks = [max(int(round((T - 1.0) / (4.0 * h))) * 4, 8) for T in T_values]
+    return 1.0 + h * np.arange(max(ks) + 1, dtype=float), h, ks
 
 
 def simpson_nodes(T: float, a: float) -> Tuple[np.ndarray, float, float]:
     """Global grid t = 1 + k h covering [1, T]; returns (nodes, h, T_eff)."""
-    if not T >= 2.0:  # NaN fails too
-        raise DomainError(f"mean-square integrals need T >= 2, got T={T}")
-    h = grid_step(T, a)
-    n = _interval_count(T, h)
-    ts = 1.0 + h * np.arange(n + 1, dtype=float)
-    return ts, h, 1.0 + h * n
+    ts, h, (k,) = _simpson_grid([T], a)
+    return ts, h, 1.0 + h * k
 
 
 def _simpson_prefix(values: np.ndarray, h: float, k: int) -> float:
@@ -108,17 +111,12 @@ def _simpson_prefix(values: np.ndarray, h: float, k: int) -> float:
 
 
 def _prefix_integrals(
-    values: np.ndarray, h: float, T_values: Sequence[float]
+    values: np.ndarray, h: float, ks: Sequence[int]
 ) -> List[Tuple[float, float, float]]:
-    """(T_eff, Simpson integral over [1, T_eff], Richardson estimate) per T.
-
-    Each T snaps to the nearest index divisible by four, capped at the last node.
-    """
+    """(T_eff, Simpson integral over [1, T_eff], Richardson estimate) per
+    interval count k of `_simpson_grid`, T_eff = 1 + k h."""
     out: List[Tuple[float, float, float]] = []
-    for T in T_values:
-        if not T >= 2.0:  # NaN fails too
-            raise DomainError(f"mean-square integrals need T >= 2, got T={T}")
-        k = min(_interval_count(T, h), values.size - 1)
+    for k in ks:
         full = _simpson_prefix(values, h, k)
         half = _simpson_prefix(values[::2], 2.0 * h, k // 2)
         out.append((1.0 + h * k, full, abs(full - half) / 15.0))
@@ -218,16 +216,16 @@ def mean_square_grid(
 ) -> List[Tuple[float, MeanSquareResult]]:
     """Mean squares at several T sharing one evaluation up to max(T_values).
 
-    `_prefix_integrals` snaps each T to that one node set and integrates it.
+    `_simpson_grid` checks and snaps every T first; `_prefix_integrals` integrates.
     """
     if not T_values:
         raise DomainError("T_values must be nonempty")
     t_sorted = sorted(float(T) for T in T_values)
     top = replace(req, T=t_sorted[-1])
-    ts, h, _ = simpson_nodes(top.T, top.a)
+    ts, h, ks = _simpson_grid(t_sorted, top.a)
     fvals = np.abs(_line_values(top, ts, prec)) ** 2
     out: List[Tuple[float, MeanSquareResult]] = []
-    for t_eff, value, rich in _prefix_integrals(fvals, h, t_sorted):
+    for t_eff, value, rich in _prefix_integrals(fvals, h, ks):
         warn = rich > 0.01 * abs(value) if value != 0.0 else rich > 0.0
         out.append((t_eff, MeanSquareResult(
             value=value, step=h, richardson_err=rich,
@@ -261,13 +259,13 @@ def mixed_mean(
         raise DomainError(
             "mixed_mean excludes the top diagonal pair (k, l) = (r-1, r-1)"
         )
-    ts, h, _ = simpson_nodes(T, a)
+    ts, h, ks = _simpson_grid([T], a)
     if k == l:
         prod = np.abs(hurwitz_line(sigma - k, a, ts, prec)) ** 2
-        return complex(_prefix_integrals(prod, h, [T])[0][1], 0.0)
+        return complex(_prefix_integrals(prod, h, ks)[0][1], 0.0)
     rows = hurwitz_line_batch([sigma - k, sigma - l], a, ts, prec)
     prod = rows[0] * np.conj(rows[1])
-    re, im = (_prefix_integrals(part.copy(), h, [T])[0][1] for part in (prod.real, prod.imag))
+    re, im = (_prefix_integrals(part.copy(), h, ks)[0][1] for part in (prod.real, prod.imag))
     return complex(re, im)
 
 

@@ -43,7 +43,7 @@ from .barnes import (
 )
 from .combinatorics import reduction_coefficients
 from .errors import DomainError
-from .meanvalue import _prefix_integrals, grid_step, simpson_nodes
+from .meanvalue import _prefix_integrals, _simpson_grid, grid_step
 from .zetacore import functional_equation_residual, hurwitz_line_batch
 
 __all__ = [
@@ -424,7 +424,7 @@ def comparability(
     cps = sorted(float(T) for T in T_checkpoints)
     if not cps:
         raise DomainError("comparability needs a checkpoint")
-    ts, h, _ = simpson_nodes(cps[-1], a)
+    ts, h, ks = _simpson_grid(cps, a)
     ones_line = multi_hurwitz_line(sigma, a, r, ts)
     unit_w = all(abs(x - 1.0) <= 1e-12 for x in w)
     if unit_w:
@@ -453,7 +453,7 @@ def comparability(
 
     ms_rows: List[Sequence] = []
     ms_dev = 1.0
-    nums, dens = (_prefix_integrals(sq, h, cps) for sq in (abs_w ** 2, abs_ones ** 2))
+    nums, dens = (_prefix_integrals(sq, h, ks) for sq in (abs_w ** 2, abs_ones ** 2))
     for (T_eff, num, _), (_, den, _) in zip(nums, dens):
         ratio = num / den
         ms_rows.append((f"meansq_ratio_T={T_eff}", ratio))

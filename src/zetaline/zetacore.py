@@ -24,7 +24,7 @@ summed directly (absolutely convergent region only) with an Abel-summation
 tail bound.  ``_rational_twist`` is the one parser of ``lambda`` (and of the
 periodic zeta's ``x``) and holds the one denominator cap, q <= 1024, for
 values (`lerch_zeta_bounded`) and vertical lines (`lerch_line`) alike;
-``_twist_terms`` yields the q reduction pairs.
+``_twist_sum`` is the one q-fold of values and ``_periodic`` the one periodic zeta.
 
 Vertical-line batches (`hurwitz_line`, `hurwitz_line_batch`) share the phase
 sums ``sum_m (m+a)^(-sigma) exp(-i t log(m+a))`` across all requested real
@@ -475,6 +475,7 @@ def _hurwitz_scalar(s: complex, a: float, prec: Precision) -> Tuple[complex, flo
 def _hurwitz_reflected(
     s: complex, a: float, prec: Precision
 ) -> Tuple[complex, float]:
+    """zeta_H(s, a) by Hurwitz's functional equation from F(+-a, 1 - s) (`_periodic`)."""
     shift_sum = 0.0 + 0.0j
     aa = a
     while aa > 1.0:
@@ -482,14 +483,8 @@ def _hurwitz_reflected(
         shift_sum += cmath.exp(-s * cmath.log(aa))
     sp = 1.0 - s
     log_pref = _lgamma_right(sp) - sp * math.log(2.0 * math.pi)
-    if aa == 1.0:
-        f_plus, ep = _hurwitz_scalar(sp, 1.0, prec)
-        f_minus, em_ = f_plus, ep
-    else:
-        f_plus, ep = _lerch_direct(sp, 1.0, aa, prec)
-        f_plus *= cmath.exp(2j * math.pi * aa)
-        f_minus, em_ = _lerch_direct(sp, 1.0, 1.0 - aa, prec)
-        f_minus *= cmath.exp(2j * math.pi * (1.0 - aa))
+    f_plus, ep = _periodic(aa, sp, prec)
+    f_minus, em_ = _periodic(1 - aa, sp, prec)
     c_plus = cmath.exp(log_pref - 0.5j * math.pi * sp)
     c_minus = cmath.exp(log_pref + 0.5j * math.pi * sp)
     val = c_plus * f_plus + c_minus * f_minus - shift_sum
@@ -593,11 +588,28 @@ def _rational_twist(lam: LambdaLike) -> Fraction | None:
     return fr
 
 
-def _twist_terms(a: float, fr: Fraction):
-    """Pairs (e(j p/q), (j + a)/q), j = 0..q-1, of the q-fold reduction at p/q."""
+def _twist_terms(a: float, fr: Fraction, first: int = 0):
+    """Pairs (e(j p/q), (j + a)/q), j = first..first+q-1, of the q-fold reduction at p/q."""
     q, p = fr.denominator, fr.numerator
-    for j in range(q):
+    for j in range(first, first + q):
         yield cmath.exp(2j * math.pi * ((j * p) % q) / q), (j + a) / q
+
+
+def _twist_sum(
+    s: complex, a: float, fr: Fraction, prec: Precision, first: int = 0
+) -> Tuple[complex, float]:
+    """q^(-s) sum_j e(j p/q) zeta_H(s, (j + a)/q) over j = first..first+q-1, with
+    its err: zeta_L(s, a, p/q) at first = 0 and F(p/q, s) at a = 0, first = 1."""
+    if fr == 0:
+        return _hurwitz_scalar(s, a + first, prec)
+    total = 0.0 + 0.0j
+    err = 0.0
+    for root, shifted in _twist_terms(a, fr, first):
+        v, e = _hurwitz_scalar(s, shifted, prec)
+        total += root * v
+        err += abs(e * v)
+    scale = cmath.exp(-s * math.log(fr.denominator))
+    return scale * total, abs(scale) * err
 
 
 def lerch_zeta_bounded(
@@ -621,16 +633,7 @@ def lerch_zeta_bounded(
     if fr is None:
         return _lerch_direct(s, a, float(lam), prec)
     _check_hurwitz_domain("lerch_zeta with rational lambda", s, a)
-    if fr == 0:
-        return _hurwitz_scalar(s, a, prec)
-    total = 0.0 + 0.0j
-    err = 0.0
-    for root, shifted in _twist_terms(a, fr):
-        v, e = _hurwitz_scalar(s, shifted, prec)
-        total += root * v
-        err += abs(e * v)
-    scale = cmath.exp(-s * math.log(fr.denominator))
-    return scale * total, abs(scale) * err
+    return _twist_sum(s, a, fr, prec)
 
 
 def lerch_line(
@@ -747,20 +750,20 @@ def periodic_zeta(
     on hurwitz_zeta's domain in s (DomainError outside); other x needs Re s > 1.
     """
     s = complex(s)
+    if _rational_twist(x) is not None:
+        _check_hurwitz_domain("periodic_zeta with rational x", s, 1.0)
+    return _periodic(x, s, prec)[0]
+
+
+def _periodic(x: LambdaLike, s: complex, prec: Precision) -> Tuple[complex, float]:
+    """F(x, s) with its err: the q-fold `_twist_sum` at rational x, otherwise
+    e(x) times the direct series at a = 1 (Re s > 1)."""
     fr = _rational_twist(x)
-    if fr is None:
-        xf = float(x)
-        val, _ = _lerch_direct(s, 1.0, xf, prec)
-        return cmath.exp(2j * math.pi * (xf - math.floor(xf))) * val
-    _check_hurwitz_domain("periodic_zeta with rational x", s, 1.0)
-    if fr == 0:
-        return _hurwitz_scalar(s, 1.0, prec)[0]
-    q, p = fr.denominator, fr.numerator
-    total = 0.0 + 0.0j
-    for j in range(1, q + 1):
-        root = cmath.exp(2j * math.pi * ((j * p) % q) / q)
-        total += root * _hurwitz_scalar(s, j / q, prec)[0]
-    return cmath.exp(-s * math.log(q)) * total
+    if fr is not None:
+        return _twist_sum(s, 0.0, fr, prec, first=1)
+    xf = float(x)
+    val, err = _lerch_direct(s, 1.0, xf, prec)
+    return cmath.exp(2j * math.pi * (xf - math.floor(xf))) * val, err
 
 
 def functional_equation_residual(
@@ -776,8 +779,8 @@ def functional_equation_residual(
         zeta_H(1-s, a) = Gamma(s) (2*pi)^(-s) *
             { e^(-pi*i*s/2) F(a, s) + e^(pi*i*s/2) F(-a, s) }
 
-    with the periodic zeta F is checked; for rational lambda in (0, 1) the
-    Lerch transformation formula
+    with the periodic zeta F is checked, its right-hand side by `_hurwitz_reflected`;
+    for rational lambda in (0, 1) the Lerch transformation formula
 
         zeta_L(1-s, a, lambda) = Gamma(s) (2*pi)^(-s) *
             { e^(pi*i*s/2 - 2*pi*i*a*lambda) zeta_L(s, lambda, 1-a)
@@ -802,16 +805,11 @@ def functional_equation_residual(
             "(pass a Fraction); the 1-s side has no convergent series otherwise"
         )
 
-    log_pref = _lgamma_right(s) - s * math.log(2.0 * math.pi)
     if lam_frac == 0:
         lhs = _hurwitz_scalar(1.0 - s, a_val, prec)[0]
-        f_plus = periodic_zeta(a if a_is_rat else a_val, s, prec)
-        f_minus = periodic_zeta(1 - Fraction(a) if a_is_rat else 1.0 - a_val, s, prec)
-        rhs = (
-            cmath.exp(log_pref - 0.5j * math.pi * s) * f_plus
-            + cmath.exp(log_pref + 0.5j * math.pi * s) * f_minus
-        )
+        rhs = _hurwitz_reflected(1.0 - s, a if a_is_rat else a_val, prec)[0]
     else:
+        log_pref = _lgamma_right(s) - s * math.log(2.0 * math.pi)
         lam_v = float(lam_frac)
         comp_a = 1 - Fraction(a) if a_is_rat else 1.0 - a_val
         lhs = lerch_zeta(1.0 - s, a_val, lam_frac, prec)

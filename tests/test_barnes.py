@@ -80,6 +80,32 @@ def test_multi_line_matches_scalar():
         assert abs(row[idx] - want) <= 1e-10 * abs(want)
 
 
+def test_multi_line_evaluates_only_its_nonzero_terms(monkeypatch):
+    # at a = 1, p_{2,0} = -0.0 and p_{3,0} = 0: the Re s row is never evaluated
+    seen = []
+    batch = bz.hurwitz_line_batch
+
+    def spy(sigmas, *args):
+        seen.append(list(sigmas))
+        return batch(sigmas, *args)
+
+    monkeypatch.setattr(bz, "hurwitz_line_batch", spy)
+    ts = np.linspace(1.0, 200.0, 797)
+    rank_two = bz.multi_hurwitz_line(1.5, 1.0, 2, ts)
+    bz.multi_hurwitz_line(2.5, 1.0, 3, ts)
+    assert seen == [[0.5], [1.5, 0.5]]
+    # zeta_2(s, 1) = sum_n (n + 1)^(1 - s) = zeta_H(s - 1, 1), bit for bit
+    assert np.array_equal(rank_two, zc.hurwitz_line(0.5, 1.0, ts))
+
+
+@pytest.mark.parametrize("r", [0, 17])
+def test_multi_rank_outside_one_to_sixteen_is_a_domain_error(r):
+    with pytest.raises(DomainError):
+        bz.multi_hurwitz_bounded(complex(20.5, 1.0), 0.5, r)
+    with pytest.raises(DomainError):
+        bz.multi_hurwitz_line(20.5, 0.5, r, np.linspace(1.0, 2.0, 3))
+
+
 # ---------------------------------------------------------------------------
 # barnes_direct
 

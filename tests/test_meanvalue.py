@@ -13,6 +13,7 @@ from zetaline.meanvalue import (
     MeanSquareResult,
     Prediction,
     _prefix_integrals,
+    _simpson_grid,
     grid_step,
     mean_square,
     mean_square_grid,
@@ -78,7 +79,7 @@ def test_halving_step_within_richardson_budget():
     for h in (0.05, 0.025):
         k = int(round(99.0 / h))
         ts = 1.0 + h * np.arange(k + 1, dtype=float)
-        runs.append(_prefix_integrals(np.abs(hurwitz_line(0.5, 1.0, ts)) ** 2, h, [100.0])[0])
+        runs.append(_prefix_integrals(np.abs(hurwitz_line(0.5, 1.0, ts)) ** 2, h, [k])[0])
     (T_coarse, coarse, coarse_err), (T_fine, fine, _) = runs
     assert T_coarse == T_fine == 100.0
     assert abs(coarse - fine) <= 4.0 * coarse_err + 1e-12
@@ -269,12 +270,27 @@ def test_every_T_is_checked_and_nan_is_a_domain_error():
     for T_values in ([-50.0, 1.0, 100.0, 200.0], [100.0, nan, 200.0], [nan, 200.0]):
         with pytest.raises(DomainError):
             mean_square_grid(req, T_values)
-    values = np.ones(9)
     for T in (1.0, nan):
         with pytest.raises(DomainError):
-            _prefix_integrals(values, 0.25, [3.0, T])
-    # a T past the last node is capped there
-    assert _prefix_integrals(values, 0.25, [2.0, 50.0]) == [(3.0, 2.0, 0.0), (3.0, 2.0, 0.0)]
+            _simpson_grid([3.0, T], 1.0)
+    # every T snaps below the last node, which is the largest T's
+    ts, h, ks = _simpson_grid([2.0, 50.0], 1.0)
+    assert ks == [20, ts.size - 1]
+    ref_ts, ref_h, ref_T = simpson_nodes(50.0, 1.0)
+    assert np.array_equal(ts, ref_ts) and h == ref_h and 1.0 + h * ks[-1] == ref_T
+
+
+def test_a_bad_lower_T_is_rejected_before_the_line_is_evaluated(monkeypatch):
+    def no_line(*args):
+        raise AssertionError("the line was evaluated before every T was checked")
+
+    monkeypatch.setattr(zetaline.meanvalue, "_line_values", no_line)
+    for req in (
+        MeanSquareRequest(kind="hurwitz", sigma=0.5, a=1.0, T=500.0),
+        MeanSquareRequest(kind="barnes", sigma=1.5, a=1.0, T=500.0, w=(1.0, math.sqrt(2.0))),
+    ):
+        with pytest.raises(DomainError):
+            mean_square_grid(req, [1.0, 500.0])
 
 
 def test_lerch_line_matches_scalar():

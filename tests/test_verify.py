@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+import zetaline.verify
 from zetaline.barnes import barnes_truncated_line
 from zetaline.errors import DomainError
 from zetaline.meanvalue import MeanSquareRequest, mean_square_grid
@@ -241,6 +242,16 @@ def test_comparability_checks_every_checkpoint():
     for cps in ((float("nan"),), (50.0, float("nan"), 100.0), (1.0, 50.0)):
         with pytest.raises(DomainError):
             comparability(2, 1.0, (1.0, 2.0), 1.5, T_checkpoints=cps)
+
+
+def test_comparability_checks_its_checkpoints_before_any_line(monkeypatch):
+    def no_line(*args, **kwargs):
+        raise AssertionError("a line was evaluated before every checkpoint was checked")
+
+    monkeypatch.setattr(zetaline.verify, "multi_hurwitz_line", no_line)
+    monkeypatch.setattr(zetaline.verify, "barnes_truncated_line", no_line)
+    with pytest.raises(DomainError):
+        comparability(2, 1.0, (1.0, math.sqrt(2.0)), 1.5, T_checkpoints=(1.0, 400.0))
 
 
 def test_comparability_rank_one():

@@ -398,6 +398,13 @@ def test_reflection_residual_rejects_bad_domain():
         zc.functional_equation_residual(2.0, Fraction(1, 2), 0.318309886)
 
 
+@pytest.mark.parametrize("a", [Fraction(1, 3), 1.0 / 3.0])
+def test_reflection_residual_holds_past_the_periodic_zeta_domain(a):
+    # Re s = 10.5 lies past periodic_zeta's rational domain, but the residual's
+    # domain is Re s > 1: a rational a must not raise where a float a does not
+    assert zc.functional_equation_residual(complex(10.5, 2.0), a) <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # generalized Euler constants
 
