@@ -3,7 +3,10 @@
 Inside the strip r - 1 < sigma <= r the direct lattice series diverges,
 but the box sum to x plus boundary corrections approximates the function
 with error on the scale x^(r-1-sigma).  Where both methods apply they must
-agree, and the error should shrink as x grows.
+agree, and the error should shrink as x grows.  The weights (1, 2) are
+commensurate, so the "direct" value is the exact Hurwitz combination
+2^(-s) sum_b [zeta_H(s-1, b) + (1-b) zeta_H(s, b)], b = a/2, (a+1)/2, that
+`barnes_direct` takes for them; its err is absolute.
 """
 
 import math
@@ -20,7 +23,7 @@ S = complex(2.3, 5.0)
 
 print(f"overlap at s = {S}, w = {W} (direct series still converges)")
 direct, direct_err = barnes_direct(S, 1.0, W)
-print(f"  direct    {direct:.15g}   err <= {direct_err:.1e}")
+print(f"  direct    {direct:.15g}   err {direct_err:.1e} (Hurwitz combination)")
 for x in (10.0, 40.0, 160.0):
     approx, err = barnes_truncated(S, 1.0, W, x)
     print(f"  x={x:5.0f}    {approx:.15g}   bound {err:.1e}   "

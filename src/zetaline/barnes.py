@@ -9,15 +9,28 @@ Two families are implemented.
   from :mod:`zetaline.combinatorics`.  This form inherits the full analytic
   continuation of the Hurwitz zeta (poles at s = 1, ..., r; ``_check_pole`` is
   the one rank-r guard, shared with the truncated line).  Only nonzero terms are
-  evaluated (p_{r,0}(1) = 0 for r >= 2).  The scalar is the one-point line, each
-  term gated like ``hurwitz_zeta_bounded``, so its bound is ``sum_j |p_{r,j}| err_j``.
+  evaluated (p_{r,0}(1) = 0 for r >= 2).  The scalar is the Q = 1 case of
+  `_hurwitz_combination`, each term gated like ``hurwitz_zeta_bounded``, and
+  its bound is ``sum_j |p_{r,j}| err_j``.
 
 * ``barnes_direct`` / ``barnes_truncated_line``: general positive weights ``w``.
-  The direct evaluator needs ``Re s > r + 0.1`` and collapses the lattice one
-  coordinate at a time, ``F_j(y) = sum_{m>=0} F_(j-1)(y + m w_j)`` from
-  ``F_0(y) = y^(-s)``: the points below the threshold ``y_req`` form an
-  explicit window whose ``F_(j-1)`` values recurse, and the rest is a tail
-  of exact Hurwitz values, one per term of the asymptotic expansion
+  The direct evaluator needs ``Re s > r + 0.1`` and has two paths, chosen by
+  a cost rule stated in it.  Commensurate weights ``w = q n`` (integer n,
+  ``L = lcm(n)``) are one Hurwitz combination: the lattice count d(k) of
+  level k = n.m is a quasi-polynomial of period L, so
+
+      zeta_r(s, a; w) = (qL)^(-s) sum_rho sum_i e_{rho,i} zeta_H(s - i, b_rho),
+      b_rho = (a/q + rho) / L,
+
+  with exact e_{rho,i} from r counts per residue (`_denumerant_terms`), and
+  `_hurwitz_combination` evaluates it, L kernel calls of at most r rows.
+  Its err is absolute, |(qL)^(-s)| sum |e| |v| err_H (not yet a certified
+  bound).  The other path, for weights such as (1, sqrt 2) whose
+  combination costs more, collapses the lattice one coordinate at a time,
+  ``F_j(y) = sum_{m>=0} F_(j-1)(y + m w_j)`` from ``F_0(y) = y^(-s)``: the
+  points below the threshold ``y_req`` form an explicit window whose
+  ``F_(j-1)`` values recurse, and the rest is a tail of exact Hurwitz
+  values, one per term of the asymptotic expansion
   ``F_(j-1)(y) ~ sum_c coef_c y^(-(s+c))``, composed through Euler-Maclaurin
   from the unit series.  Level 1 is its tail alone.  The truncated evaluator
   sums the finite box ``{0..floor(x)}^r`` (through a compressed
@@ -43,11 +56,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .combinatorics import bernoulli, reduction_coefficients
+from .combinatorics import reduction_coefficients
 from .errors import (
     DomainError,
     PoleError,
@@ -56,6 +70,7 @@ from .errors import (
     UnsupportedRegionError,
 )
 from .zetacore import (
+    _BERN_FAC,
     DEFAULT_PRECISION,
     Precision,
     _POLE_GUARD,
@@ -118,9 +133,40 @@ def _reduction_terms(r: int, a: float) -> list[Tuple[int, float]]:
 
 
 def _combine(terms: Sequence[Tuple[int, float]], rows) -> np.ndarray:
-    """sum_j p_{r,j} rows[j], one row per term (p_{r,r-1} never vanishes)."""
+    """sum_j c_j rows[j], one row per term (the top term never vanishes)."""
     parts = [cf * row for (_, cf), row in zip(terms, rows)]
     return sum(parts[1:], parts[0])
+
+
+def _hurwitz_combination(
+    name: str,
+    s: complex,
+    Q: float,
+    groups: Sequence[Tuple[float, Sequence[Tuple[int, float]]]],
+    prec: Precision,
+    relative: bool = False,
+) -> Tuple[complex, float]:
+    """Q^(-s) sum over groups (b, terms) of sum_j c_j zeta_H(s - j, b), with its err.
+
+    The one scalar evaluator of Hurwitz combinations: each group is one
+    `_hurwitz_rows` call (its rows share their phase sums), gated under name
+    like `hurwitz_zeta_bounded`, then combined.  err is absolute,
+    |Q^(-s)| sum |c_j| |v_j| err_j; relative=True drops |v_j|, the unit that
+    `multi_hurwitz_bounded` keeps (its rank-one err is the Hurwitz err).
+    """
+    ts = np.array([s.imag])
+    parts, err = [], 0.0
+    for b, terms in groups:
+        vals, errs = _hurwitz_rows([s.real - j for j, _ in terms], b, ts, prec)
+        _gate(name, errs, prec)
+        parts.append(complex(_combine(terms, vals)[0]))
+        for (_, cf), v, e in zip(terms, vals[:, 0], errs):
+            err += abs(cf) * float(e) * (1.0 if relative else float(abs(v)))
+    total = sum(parts[1:], parts[0])
+    if Q == 1.0:  # 1^(-s) could still flip the sign of a zero part
+        return total, err
+    factor = cmath.exp(-s * math.log(Q))
+    return factor * total, abs(factor) * err
 
 
 def multi_hurwitz_bounded(
@@ -128,19 +174,16 @@ def multi_hurwitz_bounded(
 ) -> Tuple[complex, float]:
     """zeta_r(s, a) = sum_{j=0}^{r-1} p_{r,j}(a) zeta_H(s - j, a), with its bound.
 
-    The one-point `multi_hurwitz_line`, one kernel call over the terms with
-    p_{r,j} != 0; the bound is their combination, sum_j |p_{r,j}| err_j.  Each
-    term is gated like `hurwitz_zeta_bounded`, with its DomainError and AccuracyError.
+    The Q = 1 case of `_hurwitz_combination`, one kernel call over the terms
+    with p_{r,j} != 0; the bound is sum_j |p_{r,j}| err_j.  Each term is gated
+    like `hurwitz_zeta_bounded`, with its DomainError and AccuracyError.
     """
     s = complex(s)
     terms = _reduction_terms(r, a)
     _check_pole(s.real, np.array([s.imag]), r)
     for j, _ in terms:
         _check_hurwitz_domain("hurwitz_zeta", s - j, a)
-    vals, errs = _hurwitz_rows([s.real - j for j, _ in terms], a, np.array([s.imag]), prec)
-    _gate("hurwitz_zeta", errs, prec)
-    err = sum(abs(cf) * float(e) for (_, cf), e in zip(terms, errs))
-    return complex(_combine(terms, vals)[0]), err
+    return _hurwitz_combination("hurwitz_zeta", s, 1.0, [(a, terms)], prec, relative=True)
 
 
 def multi_hurwitz(
@@ -193,8 +236,7 @@ def _compose_expansion(
             cc = c + 2 * k - 1
             if cc > _EXP_CAP:
                 break
-            bf = float(bernoulli(2 * k) / math.factorial(2 * k))
-            add(cc, coef * bf * poch * wj ** (2 * k - 1))
+            add(cc, coef * _BERN_FAC[k] * poch * wj ** (2 * k - 1))
             poch = poch * (q + (2 * k - 1)) * (q + 2 * k)
     return out
 
@@ -235,10 +277,17 @@ def _tail_power_sums(st: _DirectState, level: int, base_y: float, wj: float) -> 
     return total
 
 
+def _window(st: _DirectState, level: int, y: float) -> int:
+    """How many points y + m w_level of F_level(y) lie below y_req (none at level 1)."""
+    if level == 1:
+        return 0
+    return max(0, int(math.ceil((st.y_req - y) / st.w[level - 1])))
+
+
 def _F(st: _DirectState, level: int, y: float) -> complex:
     """F_level(y): the window below y_req recursed, then the exact tail."""
     wj = st.w[level - 1]
-    k_cut = 0 if level == 1 else max(0, int(math.ceil((st.y_req - y) / wj)))
+    k_cut = _window(st, level, y)
     total = 0.0 + 0.0j
     for m in range(k_cut):
         total += _F(st, level - 1, y + m * wj)
@@ -246,11 +295,102 @@ def _F(st: _DirectState, level: int, y: float) -> complex:
     return total
 
 
-def barnes_direct(s: complex, a: float, w: Sequence[float]) -> Tuple[complex, float]:
-    """Barnes zeta zeta_r(s, a, w) for Re s > r + 0.1, with an error estimate.
+def _atoms(st: _DirectState, level: int, y: float, cap: int) -> int:
+    """The Hurwitz values `_F(st, level, y)` spends, counted without evaluating
+    any, and counted only until they pass cap."""
+    wj = st.w[level - 1]
+    count = len(st.expansions[level - 1])
+    for m in range(_window(st, level, y)):
+        if count > cap:
+            break
+        count += _atoms(st, level - 1, y + m * wj, cap - count)
+    return count
 
-    The estimate combines the Hurwitz remainders of every atom with twice the
-    magnitude of the last kept expansion order at each use site.
+
+# ---------------------------------------------------------------------------
+# commensurate weights: the denumerant as a Hurwitz combination
+
+_denumerant_cache: Dict[Tuple[int, ...], list] = {}
+
+
+def _fit(ys: Sequence[int]) -> list:
+    """Exact coefficients, in powers of u, of the polynomial through (u, ys[u])
+    for u = 0..len(ys)-1: Newton's forward differences times binomial(u, k)."""
+    coefs = [Fraction(0)] * len(ys)
+    basis = [Fraction(1)]  # binomial(u, k) in powers of u
+    diffs = list(ys)
+    for k in range(len(ys)):
+        for i, c in enumerate(basis):
+            coefs[i] += diffs[0] * c
+        diffs = [y1 - y0 for y0, y1 in zip(diffs, diffs[1:])]
+        basis = [(lo - k * hi) / (k + 1) for lo, hi in zip([0] + basis, basis + [0])]
+    return coefs
+
+
+def _shift(coefs: Sequence[Fraction], b: Fraction) -> list:
+    """The same polynomial in powers of x = u + b, by Horner's rule in x - b."""
+    acc: list = []
+    for c in reversed(coefs):
+        acc = [lo - b * hi for lo, hi in zip([0] + acc, acc + [0])]
+        acc[0] += c
+    return acc
+
+
+def _denumerant(n: Tuple[int, ...]) -> list:
+    """d(L u + rho) as exact polynomials in u, one per residue rho mod L = lcm(n).
+
+    d(k) counts the m >= 0 with n.m = k.  It is a quasi-polynomial of degree
+    r - 1 and period L for every k >= 0 (Beck & Robins, Computing the
+    Continuous Discretely, ch. 1), so the r counts d(L u + rho), u < r, that
+    `_box_convolve` gives fix each residue's polynomial.  Built on first use
+    and cached per n; the counts are Python ints, so none overflows.
+    """
+    if n not in _denumerant_cache:
+        L = math.lcm(*n)
+        size = L * len(n)
+        d = np.zeros(size, dtype=object)
+        d[0] = 1
+        for nj in n:
+            d = _box_convolve(d, nj, (size - 1) // nj + 1)[:size]
+        _denumerant_cache[n] = [_fit(list(d[rho::L])) for rho in range(L)]
+    return _denumerant_cache[n]
+
+
+def _denumerant_terms(a: float, q: float, n: Tuple[int, ...]):
+    """(Q, groups) with zeta_r(s, a; q n) = Q^(-s) sum_rho sum_i e_{rho,i}
+    zeta_H(s - i, b_rho): Q = q L, b_rho = (a/q + rho) / L, and the nonzero
+    e_{rho,i}, each residue's polynomial shifted to powers of u + b_rho
+    exactly and rounded once, in `_hurwitz_combination`'s form."""
+    L = math.lcm(*n)
+    groups = []
+    for rho, poly in enumerate(_denumerant(n)):
+        b = (a / q + rho) / L
+        coefs = [float(c) for c in _shift(poly, Fraction(b))]
+        groups.append((b, [(i, c) for i, c in enumerate(coefs) if c != 0.0]))
+    return q * L, groups
+
+
+def barnes_direct(s: complex, a: float, w: Sequence[float]) -> Tuple[complex, float]:
+    """Barnes zeta zeta_r(s, a, w) for Re s > r + 0.1, with an absolute error
+    estimate (not yet a certified bound: ROADMAP item 3).
+
+    Two paths, chosen by cost from counts known before any evaluation:
+
+    * combination: commensurate weights w = q n are the Hurwitz combination
+      of `_denumerant_terms`, L = lcm(n) kernel calls of at most r rows, L r
+      rows in all, evaluated by `_hurwitz_combination`.  Its err is
+      |Q^(-s)| sum |e| |v| err_H.
+    * recursion: the composed Euler-Maclaurin collapse (`_F`), one Hurwitz
+      value per atom.  Its err combines the Hurwitz remainders of every atom
+      with twice the magnitude of the last kept expansion order at each use
+      site.
+
+    Rule: the combination is taken when its L r rows are within the atom
+    budget and fewer than the recursion's atoms (`_atoms`, counted until they
+    pass L r).
+    So (1, 2) takes the combination, while (1, 37) at small |t|, rank one
+    (one row against one atom) and weights such as (1, sqrt 2), whose n_j
+    are near 2^52, take the recursion.
     """
     s = complex(s)
     w = _check_weights(w)
@@ -268,6 +408,11 @@ def barnes_direct(s: complex, a: float, w: Sequence[float]) -> Tuple[complex, fl
     for wj in w[:-1]:
         expansions.append(_compose_expansion(expansions[-1], s, wj))
     st = _DirectState(s=s, w=w, y_req=y_req, expansions=expansions)
+    q, n = _commensurate(w)
+    rows = math.lcm(*n) * r
+    if rows <= _ATOM_BUDGET and rows < _atoms(st, r, a, rows):
+        Q, groups = _denumerant_terms(a, q, n)
+        return _hurwitz_combination("barnes_direct", s, Q, groups, DEFAULT_PRECISION)
     val = _F(st, r, a)
     return val, st.err
 
@@ -315,7 +460,7 @@ def _commensurate(w: Sequence[float]) -> Tuple[float, Tuple[int, ...]]:
 
 
 def _box_convolve(d: np.ndarray, n: int, k: int) -> np.ndarray:
-    """d convolved with the indicator of {0, n, ..., (k-1) n}, exact in int64.
+    """d convolved with the indicator of {0, n, ..., (k-1) n}, exact in d's integer dtype.
 
     A running sum of width k along each residue class mod n: O(len) instead
     of np.convolve's O(len * k).
@@ -323,7 +468,7 @@ def _box_convolve(d: np.ndarray, n: int, k: int) -> np.ndarray:
     if k == 1:
         return d  # a one-point box; padding to a multiple of n could be huge
     size = d.size + n * (k - 1)
-    e = np.zeros(-(-size // n) * n, dtype=np.int64)
+    e = np.zeros(-(-size // n) * n, dtype=d.dtype)
     e[: d.size] = d
     c = np.cumsum(e.reshape(-1, n), axis=0)
     c[k:] -= c[:-k]

@@ -87,13 +87,14 @@ def grid_step(T: float, a: float) -> float:
 
 def _simpson_grid(T_values: Sequence[float], a: float) -> Tuple[np.ndarray, float, List[int]]:
     """(nodes, h, ks): the global grid t = 1 + k h up to the largest T, and each
-    T's interval count k, the nearest multiple of four and at least 8, so the
-    largest T's k is the last node.  Every T is checked before anything is built."""
+    T's interval count k, the nearest multiple of four (at least 20, since T >= 2
+    and h <= 0.05), so the largest T's k is the last node.  Every T is checked
+    before anything is built."""
     for T in T_values:
         if not T >= 2.0:  # NaN fails too
             raise DomainError(f"mean-square integrals need T >= 2, got T={T}")
     h = grid_step(max(T_values), a)
-    ks = [max(int(round((T - 1.0) / (4.0 * h))) * 4, 8) for T in T_values]
+    ks = [int(round((T - 1.0) / (4.0 * h))) * 4 for T in T_values]
     return 1.0 + h * np.arange(max(ks) + 1, dtype=float), h, ks
 
 

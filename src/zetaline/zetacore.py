@@ -715,12 +715,15 @@ def _lerch_direct(
         )
     m_cut = int(m_need)
     total = 0.0 + 0.0j
-    block = 1 << 18
+    block, sub = 1 << 18, 1 << 12
     for lo in range(0, m_cut, block):
-        hi = min(m_cut, lo + block)
-        mm = np.arange(lo, hi, dtype=float)
-        phase_arg = np.mod(mm * frac, 1.0)
-        terms = np.exp(2j * np.pi * phase_arg) * np.exp((-s) * np.log(mm + a))
+        # each block is one pairwise sum; its terms are formed sub-block by
+        # sub-block, so only the terms array outlives its elementwise temporaries
+        terms = np.empty(min(m_cut - lo, block), dtype=complex)
+        for start in range(0, terms.size, sub):
+            mm = np.arange(lo + start, lo + min(terms.size, start + sub), dtype=float)
+            phase_arg = np.mod(mm * frac, 1.0)
+            terms[start : start + sub] = np.exp(2j * np.pi * phase_arg) * np.exp((-s) * np.log(mm + a))
         total += complex(terms.sum())
     # acceleration rounds
     inv = 1.0 / (1.0 - u)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -187,8 +188,10 @@ def test_direct_far_from_the_origin_matches_closed_form(s, a):
     "s, a, w, want",
     [
         (1.15 + 3j, 0.7, (math.sqrt(2.0),), 0.45198907705441643 + 1.2113780893441006j),
-        (2.15 + 10j, 1.0, (1.0, 2.0), 1.1649351194082476 - 0.0033290075015520127j),
-        (5 - 7j, 0.3, (1.0, 2.0), -223.44141317728216 - 345.3595888928473j),
+        # (1, 2) takes the Hurwitz combination, closer to mpmath than the recursion
+        # was: 3.6e-16 and 1.6e-16 relative, against 1.2e-15 and 4.9e-16
+        (2.15 + 10j, 1.0, (1.0, 2.0), 1.1649351194082458 - 0.0033290075015521836j),
+        (5 - 7j, 0.3, (1.0, 2.0), -223.44141317728196 - 345.35958889284734j),
         (2.5 + 40j, 1.0, (1.0, math.sqrt(2.0)), 0.8083360268598899 + 0.033923383950875095j),
         (3.15 + 2j, 0.9, (0.5, 1.0, 1.7), 1.3142756421189208 - 0.2788744639546155j),
         (6 + 25j, 1.5, (0.5, 1.0, 1.7), -0.0719911960846282 + 0.07820961783981299j),
@@ -197,6 +200,91 @@ def test_direct_far_from_the_origin_matches_closed_form(s, a):
 def test_direct_keeps_its_bits(s, a, w, want):
     # recorded with repr: a change to the direct sum's arithmetic shows here first
     assert bz.barnes_direct(s, a, w)[0] == want
+
+
+COMMENSURATE = [((1.0, 2.0), 1.0, (1, 2)), ((0.5, 1.5), 0.5, (1, 3)),
+                ((2.0, 3.0), 1.0, (2, 3)), ((1.0, 2.0, 3.0), 1.0, (1, 2, 3))]
+
+
+def mpmath_commensurate(s, a, q, n):
+    """(value, sum of |terms|) of zeta_r(s, a; q n) = (qL)^(-s) sum_rho sum_i e_{rho,i}
+    zeta(s - i, b_rho), from brute-force box counts and a Vandermonde solve in mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    r, L = len(n), math.lcm(*n)
+    m = np.indices([L * r // nj + 1 for nj in n]).reshape(r, -1)
+    d = np.bincount(np.dot(n, m), minlength=L * r)
+    z = mpmath.mpc(s.real, s.imag)
+    pref = mpmath.power(mpmath.mpf(q) * L, -z)
+    value, scale = 0, 0
+    for rho in range(L):
+        b = (mpmath.mpf(a) / mpmath.mpf(q) + rho) / L
+        e = mpmath.lu_solve(mpmath.matrix([[(u + b) ** i for i in range(r)] for u in range(r)]),
+                            mpmath.matrix([int(d[L * u + rho]) for u in range(r)]))
+        for i in range(r):
+            term = pref * e[i] * mpmath.zeta(z - i, b)
+            value += term
+            scale += abs(term)
+    return complex(value), float(scale)
+
+
+@pytest.mark.parametrize("a", [0.01, 0.3, 1.0, 100.0])
+@pytest.mark.parametrize("w, q, n", COMMENSURATE)
+def test_direct_at_commensurate_weights_matches_mpmath(w, q, n, a):
+    mpmath = pytest.importorskip("mpmath")
+    r = len(w)
+    for s in (complex(r + 0.25, 300.0), complex(r + 1.5, -20.0)):
+        got, err = bz.barnes_direct(s, a, w)
+        with mpmath.workdps(30):
+            ref, scale = mpmath_commensurate(s, a, q, n)
+        assert abs(got - ref) <= 64.0 * zc.DEFAULT_PRECISION.rel_tol * scale
+        assert type(got) is complex and type(err) is float
+
+
+@pytest.mark.parametrize("n", [(1,), (1, 1), (1, 2), (2, 3), (1, 3), (2, 5), (1, 1, 2),
+                               (1, 2, 3), (3, 5, 7), (1, 2, 3, 4)])
+def test_denumerant_polynomials_reproduce_the_counts(n):
+    # the r fitted counts per residue fix each polynomial; it must hold to k = 3 L r
+    L, r = math.lcm(*n), len(n)
+    size = 3 * L * r + 1
+    d = np.ones(1, dtype=np.int64)
+    for nj in n:
+        d = bz._box_convolve(d, nj, (size - 1) // nj + 1)[:size]
+    polys = bz._denumerant(n)
+    assert len(polys) == L
+    for k in range(size):
+        u, poly = k // L, polys[k % L]
+        assert all(type(c) is Fraction for c in poly)
+        assert sum(c * u ** i for i, c in enumerate(poly)) == int(d[k])
+
+
+@pytest.mark.parametrize(
+    "w, s, combination",
+    [
+        ((1.0, 2.0), 2.5 + 10j, True),  # 4 rows against ~60 atoms
+        ((37.0, 1.0), 2.5 + 10j, True),  # the window runs over w_2 = 1
+        ((1.0, 37.0), 2.5 + 10j, False),  # 74 rows against ~60 atoms
+        ((1.0, 37.0), 2.5 + 300j, True),  # the window grows with |t|
+        ((math.sqrt(2.0),), 1.15 + 3j, False),  # one row against one atom
+        ((1.0, math.sqrt(2.0)), 2.5 + 40j, False),  # L near 2^52
+    ],
+)
+def test_direct_takes_the_cheaper_path(monkeypatch, w, s, combination):
+    taken = []
+    combination_, recursion = bz._hurwitz_combination, bz._F
+
+    def spy_combination(*args, **kwargs):
+        taken.append("combination")
+        return combination_(*args, **kwargs)
+
+    def spy_recursion(st, level, y):
+        taken.append("recursion")
+        return recursion(st, level, y)
+
+    monkeypatch.setattr(bz, "_hurwitz_combination", spy_combination)
+    monkeypatch.setattr(bz, "_F", spy_recursion)
+    bz.barnes_direct(s, 1.0, w)
+    assert taken[0] == ("combination" if combination else "recursion")
+    assert ("combination" in taken) == combination
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 import zetaline.cli
 import zetaline.meanvalue
 import zetaline.verify
-from zetaline.barnes import barnes_truncated, multi_hurwitz_bounded
+from zetaline.barnes import barnes_truncated, barnes_zeta_bounded, multi_hurwitz_bounded
 from zetaline.cli import build_parser, main
 from zetaline.verify import oscillatory_suite
 from zetaline.zetacore import lerch_zeta_bounded, riemann_zeta
@@ -80,6 +80,15 @@ def test_eval_barnes_takes_the_strip_formula_up_to_r_plus_one_tenth(capsys):
                            "--sigma", "2.05", "--t", "10", "--a", "1")
     assert code == 0
     val, err = barnes_truncated(complex(2.05, 10.0), 1.0, w, 10.0)
+    assert out == f"re={val.real:.17g} im={val.imag:.17g} err={err:.17g}\n"
+
+
+def test_eval_barnes_at_rank_three_prints_the_library_value_and_err(capsys):
+    # (1, 2, 3) is commensurate: barnes_direct takes the Hurwitz combination
+    code, out, _ = run_cli(capsys, "eval", "--kind", "barnes", "--w", "1,2,3",
+                           "--sigma", "3.5", "--t", "10", "--a", "1")
+    assert code == 0
+    val, err = barnes_zeta_bounded(complex(3.5, 10.0), 1.0, (1.0, 2.0, 3.0))
     assert out == f"re={val.real:.17g} im={val.imag:.17g} err={err:.17g}\n"
 
 
