@@ -14,10 +14,11 @@ Two families are implemented.
   its bound is ``sum_j |p_{r,j}| err_j``.
 
 * ``barnes_direct`` / ``barnes_truncated_line``: general positive weights ``w``.
-  The direct evaluator needs ``Re s > r + 0.1`` and has two paths, chosen by
-  a cost rule stated in it.  Commensurate weights ``w = q n`` (integer n,
-  ``L = lcm(n)``) are one Hurwitz combination: the lattice count d(k) of
-  level k = n.m is a quasi-polynomial of period L, so
+  The direct evaluator needs ``Re s > r + 0.1`` and has two paths.  One
+  count, taken before any value, picks the cheaper path and enforces the
+  budget of Hurwitz values (the rule stated in it).  Commensurate weights
+  ``w = q n`` (integer n, ``L = lcm(n)``) are one Hurwitz combination: the
+  lattice count d(k) of level k = n.m is a quasi-polynomial of period L, so
 
       zeta_r(s, a; w) = (qL)^(-s) sum_rho sum_i e_{rho,i} zeta_H(s - i, b_rho),
       b_rho = (a/q + rho) / L,
@@ -61,7 +62,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .combinatorics import reduction_coefficients
+from .combinatorics import MAX_RANK, reduction_coefficients
 from .errors import (
     DomainError,
     PoleError,
@@ -97,15 +98,13 @@ __all__ = [
     "barnes_truncated_line_batch",
 ]
 
-MAX_RANK = 16
-
 
 def _check_weights(w: Sequence[float]) -> Tuple[float, ...]:
     w = tuple(float(x) for x in w)
     if not (1 <= len(w) <= MAX_RANK):
         raise DomainError(f"weights must have rank 1..{MAX_RANK}, got {len(w)}")
-    if any(x <= 0 for x in w):
-        raise DomainError(f"weights must be positive, got {w}")
+    if not all(0.0 < x < math.inf for x in w):
+        raise DomainError(f"weights must be positive and finite, got {w}")
     return w
 
 
@@ -247,15 +246,7 @@ class _DirectState:
     w: Tuple[float, ...]
     y_req: float
     expansions: list  # expansions[j] = series of F_j; F_0(y) = y^(-s)
-    atoms: int = 0
     err: float = 0.0
-
-    def spend(self, n: int = 1) -> None:
-        self.atoms += n
-        if self.atoms > _ATOM_BUDGET:
-            raise ResourceBudgetError(
-                f"barnes_direct exceeded the {_ATOM_BUDGET} elementary-evaluation budget"
-            )
 
 
 def _tail_power_sums(st: _DirectState, level: int, base_y: float, wj: float) -> complex:
@@ -272,7 +263,6 @@ def _tail_power_sums(st: _DirectState, level: int, base_y: float, wj: float) -> 
         st.err += abs(he * term)
         if c >= _EXP_CAP - 1:
             top = max(top, abs(term))
-        st.spend()
     st.err += 2.0 * top
     return total
 
@@ -296,8 +286,8 @@ def _F(st: _DirectState, level: int, y: float) -> complex:
 
 
 def _atoms(st: _DirectState, level: int, y: float, cap: int) -> int:
-    """The Hurwitz values `_F(st, level, y)` spends, counted without evaluating
-    any, and counted only until they pass cap."""
+    """The Hurwitz values `_F(st, level, y)` evaluates, counted without
+    evaluating any, and counted only until they pass cap."""
     wj = st.w[level - 1]
     count = len(st.expansions[level - 1])
     for m in range(_window(st, level, y)):
@@ -385,9 +375,12 @@ def barnes_direct(s: complex, a: float, w: Sequence[float]) -> Tuple[complex, fl
       with twice the magnitude of the last kept expansion order at each use
       site.
 
-    Rule: the combination is taken when its L r rows are within the atom
-    budget and fewer than the recursion's atoms (`_atoms`, counted until they
-    pass L r).
+    Rule: one count, taken before any value, picks the path and enforces the
+    budget: the recursion's atoms (`_atoms`), counted until they pass
+    min(L r, _ATOM_BUDGET).  The combination is taken when its L r rows are
+    within the budget and fewer than the atoms; when L r is over the budget
+    and the atoms pass it too, ResourceBudgetError is raised.  Either path
+    thus evaluates at most _ATOM_BUDGET Hurwitz values.
     So (1, 2) takes the combination, while (1, 37) at small |t|, rank one
     (one row against one atom) and weights such as (1, sqrt 2), whose n_j
     are near 2^52, take the recursion.
@@ -395,8 +388,10 @@ def barnes_direct(s: complex, a: float, w: Sequence[float]) -> Tuple[complex, fl
     s = complex(s)
     w = _check_weights(w)
     r = len(w)
-    if a <= 0:
-        raise DomainError(f"barnes_direct needs a > 0, got a={a}")
+    if not cmath.isfinite(s):
+        raise DomainError(f"barnes_direct needs a finite s, got {s}")
+    if not 0.0 < a < math.inf:
+        raise DomainError(f"barnes_direct needs 0 < a < inf, got a={a}")
     if s.real <= r + 0.1:
         raise UnsupportedRegionError(
             f"barnes_direct needs Re s > r + 0.1 = {r + 0.1}; "
@@ -410,7 +405,12 @@ def barnes_direct(s: complex, a: float, w: Sequence[float]) -> Tuple[complex, fl
     st = _DirectState(s=s, w=w, y_req=y_req, expansions=expansions)
     q, n = _commensurate(w)
     rows = math.lcm(*n) * r
-    if rows <= _ATOM_BUDGET and rows < _atoms(st, r, a, rows):
+    cap = min(rows, _ATOM_BUDGET)
+    if _atoms(st, r, a, cap) > cap:
+        if rows > _ATOM_BUDGET:
+            raise ResourceBudgetError(
+                f"barnes_direct needs more than its budget of {_ATOM_BUDGET} Hurwitz values"
+            )
         Q, groups = _denumerant_terms(a, q, n)
         return _hurwitz_combination("barnes_direct", s, Q, groups, DEFAULT_PRECISION)
     val = _F(st, r, a)
@@ -504,10 +504,10 @@ def build_lattice_profile(
     time, sorting and compressing en route, within _PROFILE_BUDGET points.
     """
     w = _check_weights(w)
-    if a <= 0:
-        raise DomainError(f"build_lattice_profile needs a > 0, got a={a}")
-    if x < 0:
-        raise DomainError(f"build_lattice_profile needs x >= 0, got x={x}")
+    if not 0.0 < a < math.inf:
+        raise DomainError(f"build_lattice_profile needs 0 < a < inf, got a={a}")
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"build_lattice_profile needs 0 <= x < inf, got x={x}")
     k = int(math.floor(x)) + 1
     points = k ** len(w)
     q, n = _commensurate(w)

@@ -34,9 +34,12 @@ __all__ = [
     "bernoulli",
     "CoefficientTable",
     "reduction_coefficients",
+    "MAX_RANK",
 ]
 
 Rational = Union[int, Fraction]
+
+MAX_RANK = 16  # the highest rank of every rank-r table, sum and check
 
 _stirling_rows: List[List[int]] = [[1]]  # row n holds s(n, 0..n)
 
@@ -110,8 +113,8 @@ def reduction_coefficients(r: int, a) -> CoefficientTable:
     alternation; the defining identity (see class docstring) pins the
     convention and is enforced by the test suite for r up to 8.
     """
-    if r < 1 or r > 16:
-        raise DomainError(f"reduction_coefficients: need 1 <= r <= 16, got {r}")
+    if not 1 <= r <= MAX_RANK:
+        raise DomainError(f"reduction_coefficients: need 1 <= r <= {MAX_RANK}, got {r}")
     exact = isinstance(a, (int, Fraction)) and not isinstance(a, bool)
     aa = Fraction(a) if exact else float(a)
     row = stirling_row(r)

@@ -33,7 +33,7 @@ from .barnes import (
     build_lattice_profile,  # unused here; benchmarks/tracing.py patches it at this name
     multi_hurwitz_line,
 )
-from .combinatorics import reduction_coefficients
+from .combinatorics import MAX_RANK, reduction_coefficients
 from .errors import DomainError
 from .zetacore import (
     DEFAULT_PRECISION,
@@ -149,8 +149,10 @@ class MeanSquareRequest:
             raise DomainError(
                 f"kind must be one of {sorted(_T_MAX_DEFAULT)}, got {self.kind!r}"
             )
-        if self.a <= 0:
-            raise DomainError("a must be positive")
+        if not math.isfinite(self.sigma):
+            raise DomainError(f"sigma must be finite, got {self.sigma}")
+        if not 0.0 < self.a < math.inf:
+            raise DomainError(f"a must be positive and finite, got {self.a}")
         for field, kind in (("lam", "lerch"), ("r", "multi_hurwitz"), ("w", "barnes")):
             if getattr(self, field) is not None and self.kind != kind:
                 raise DomainError(f"{field} applies only to kind={kind}, not kind={self.kind}")
@@ -326,9 +328,9 @@ def predict_multi_mean_square(r: int, sigma: float, a: float) -> Prediction:
     term with the generalized-Euler constant; below, the T^(2r-2 sigma)
     term dominates.  Every branch keeps both displayed terms.
     """
-    if not (1 <= r <= 16):
-        raise DomainError(f"rank must lie in 1..16, got {r}")
-    if a <= 0:
+    if not (1 <= r <= MAX_RANK):
+        raise DomainError(f"rank must lie in 1..{MAX_RANK}, got {r}")
+    if not a > 0:
         raise DomainError("a must be positive")
     if not (r - 1 < sigma < r):
         raise DomainError(
@@ -368,7 +370,7 @@ def predict_lerch_mean_square(sigma: float, a: float, lam: LambdaLike) -> Predic
     below (with the untwisted case collapsing to a = 1).  At sigma = 1/2
     the T log T critical form with gamma(a) + gamma(lam) applies.
     """
-    if a <= 0:
+    if not a > 0:
         raise DomainError("a must be positive")
     lam_f = float(lam)
     if not (0.0 < lam_f <= 1.0):

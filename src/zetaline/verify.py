@@ -41,7 +41,7 @@ from .barnes import (
     build_lattice_profile,  # unused here; benchmarks/tracing.py patches it at this name
     multi_hurwitz_line,
 )
-from .combinatorics import reduction_coefficients
+from .combinatorics import MAX_RANK, reduction_coefficients
 from .errors import DomainError
 from .meanvalue import _prefix_integrals, _simpson_grid, grid_step
 from .zetacore import functional_equation_residual, hurwitz_line_batch
@@ -281,7 +281,7 @@ def mv_ratio(coeffs: np.ndarray, a: float, sigma: float) -> float:
     n = v.size
     if n == 0:
         raise DomainError("coefficient vector must be nonempty")
-    if a <= 0:
+    if not a > 0:
         raise DomainError("a must be positive")
     m = np.arange(1, n + 1, dtype=float)
     rhs = float(np.sum(m * np.abs(v) ** 2 / (m + a) ** (2.0 * sigma)))
@@ -512,7 +512,7 @@ def oscillatory_integral(
     """
     if not (0.5 < sigma < 1.0):
         raise DomainError(f"oscillatory integral needs 1/2 < sigma < 1, got {sigma}")
-    if a <= 0:
+    if not a > 0:
         raise DomainError("a must be positive")
     if not (2.0 <= T <= 5000.0):
         raise DomainError(f"T must lie in [2, 5000], got {T}")
@@ -587,8 +587,8 @@ def coefficient_identity_suite(
 ) -> VerdictRecord:
     """Defining identity of the reduction coefficients:
     sum_j p_{r,j}(a) (n+a)^j = C(n+r-1, r-1) for every lattice count n."""
-    if not (1 <= r_max <= 16):
-        raise DomainError(f"r_max must lie in 1..16, got {r_max}")
+    if not (1 <= r_max <= MAX_RANK):
+        raise DomainError(f"r_max must lie in 1..{MAX_RANK}, got {r_max}")
     rows: List[Sequence] = []
     observed = 0.0
     for r in range(1, r_max + 1):

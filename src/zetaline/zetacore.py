@@ -428,7 +428,7 @@ def _hurwitz_rows(
     given, but without n_terms the nodes of sigma <= 0 rows split into octaves
     of |t| + 10, each with N from its own top: those rows' partial sums reach
     ~N^(1 - sigma), which a far top node makes cancel at small |t|."""
-    if a <= 0:
+    if not a > 0:
         raise DomainError(f"zeta_H needs a > 0, got a={a}")
     ts = np.asarray(ts, dtype=float)
     n = n_terms if n_terms is not None else _shift_count(float(np.max(np.abs(ts), initial=0.0)))
@@ -503,7 +503,7 @@ def _check_hurwitz_domain(name: str, s: complex, a: float) -> None:
         raise DomainError(f"{name} supports 0 < a <= 1e4, got a={a}")
     if not (-10.0 <= s.real <= 10.0):
         raise DomainError(f"{name} supports -10 <= Re s <= 10, got {s.real}")
-    if abs(s.imag) > 1e5:
+    if not abs(s.imag) <= 1e5:
         raise DomainError(f"{name} supports |Im s| <= 1e5, got {s.imag}")
 
 
@@ -627,7 +627,7 @@ def lerch_zeta_bounded(
     the Abel tail bound cannot reach the tolerance within ``_LERCH_MAX_TERMS``.
     """
     s = complex(s)
-    if a <= 0:
+    if not a > 0:
         raise DomainError(f"lerch_zeta needs a > 0, got a={a}")
     fr = _rational_twist(lam)
     if fr is None:
@@ -863,7 +863,7 @@ def gen_euler_constant(a: float) -> float:
     series log x - 1/(2x) - sum_k B(2k)/(2k) x^(-2k); gamma(1) is Euler's
     constant and gamma(1/2) = gamma + 2 log 2.
     """
-    if a <= 0:
+    if not a > 0:
         raise DomainError("gen_euler_constant needs a > 0")
     acc = 0.0
     x = float(a)

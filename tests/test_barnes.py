@@ -287,6 +287,52 @@ def test_direct_takes_the_cheaper_path(monkeypatch, w, s, combination):
     assert ("combination" in taken) == combination
 
 
+@pytest.mark.parametrize(
+    "w, s",
+    [((math.sqrt(2.0),), 1.15 + 3j), ((1.0, math.sqrt(2.0)), 2.5 + 40j),
+     ((0.5, 1.0, 1.7), 3.15 + 2j)],
+)
+def test_atoms_count_the_hurwitz_values_of_the_recursion(monkeypatch, w, s):
+    # the budget is checked on the count alone, so the count must be exact
+    counted, evaluated = [], []
+    atoms, scalar = bz._atoms, bz._hurwitz_scalar
+
+    def spy_atoms(st, level, y, cap):
+        n = atoms(st, level, y, cap)
+        if level == len(w):
+            counted.append(n)
+        return n
+
+    def spy_scalar(*args):
+        evaluated.append(args)
+        return scalar(*args)
+
+    monkeypatch.setattr(bz, "_atoms", spy_atoms)
+    monkeypatch.setattr(bz, "_hurwitz_scalar", spy_scalar)
+    bz.barnes_direct(s, 0.9, w)
+    assert len(counted) == 1 and counted[0] == len(evaluated) > 0
+
+
+def test_direct_over_budget_raises_before_any_value(monkeypatch):
+    evaluated = []
+    scalar, rows = bz._hurwitz_scalar, bz._hurwitz_rows
+
+    def spy_scalar(*args):
+        evaluated.append("scalar")
+        return scalar(*args)
+
+    def spy_rows(*args):
+        evaluated.append("rows")
+        return rows(*args)
+
+    monkeypatch.setattr(bz, "_ATOM_BUDGET", 1000)
+    monkeypatch.setattr(bz, "_hurwitz_scalar", spy_scalar)
+    monkeypatch.setattr(bz, "_hurwitz_rows", spy_rows)
+    with pytest.raises(ResourceBudgetError):
+        bz.barnes_direct(3.5 + 10j, 1.0, (1.0, math.sqrt(2.0), math.sqrt(3.0)))
+    assert evaluated == []
+
+
 # ---------------------------------------------------------------------------
 # lattice profiles
 

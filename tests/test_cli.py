@@ -235,6 +235,33 @@ def test_meansquare_rejects_every_T_below_two(capsys, tmp_path, grid):
     assert os.listdir(tmp_path) == []
 
 
+NON_FINITE = [
+    ("meansquare", "hurwitz", "--sigma nan --a 1"),
+    ("meansquare", "hurwitz", "--sigma 0.5 --a nan"),
+    ("meansquare", "barnes --w 1,2", "--sigma 1.5 --a nan"),
+    ("meansquare", "multi --r 2", "--sigma 1.5 --a nan"),
+    ("meansquare", "lerch --lambda 1/3", "--sigma 0.5 --a nan"),
+    ("meansquare", "barnes --w inf,2", "--sigma 1.5 --a 1"),
+    *[("eval", kind, "--sigma 3.5 --a 1 --t nan")
+      for kind in ("hurwitz", "lerch", "multi --r 2", "barnes --w 1,2")],
+    ("eval", "barnes --w nan,1", "--sigma 3.5 --a 1 --t 5"),
+    ("eval", "barnes --w inf,1", "--sigma 3.5 --a 1 --t 5"),
+    ("eval", "barnes --w 1,2", "--sigma 1.5 --a nan --t 5"),
+    ("eval", "barnes --w 1,2", "--sigma inf --a 1 --t 5"),
+    ("eval", "barnes --w 1,2", "--sigma 3.5 --a 1 --t inf"),
+    ("eval", "barnes --w 1,2", "--sigma 1.5 --a 1 --t inf"),
+]
+
+
+@pytest.mark.parametrize("command, kind, args", NON_FINITE)
+def test_non_finite_arguments_are_domain_errors(capsys, tmp_path, command, kind, args):
+    extra = ["--T", "100", "--out", str(tmp_path / "ms.csv")] if command == "meansquare" else []
+    code, stdout, err = run_cli(capsys, command, "--kind", *kind.split(), *args.split(), *extra)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert os.listdir(tmp_path) == []
+
+
 def test_meansquare_missing_out_is_io_error(capsys):
     code, _, err = run_cli(capsys, "meansquare", "--kind", "hurwitz",
                            "--sigma", "3", "--a", "1", "--T", "100")
