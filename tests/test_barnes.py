@@ -195,6 +195,13 @@ def test_direct_far_from_the_origin_matches_closed_form(s, a):
         (2.5 + 40j, 1.0, (1.0, math.sqrt(2.0)), 0.8083360268598899 + 0.033923383950875095j),
         (3.15 + 2j, 0.9, (0.5, 1.0, 1.7), 1.3142756421189208 - 0.2788744639546155j),
         (6 + 25j, 1.5, (0.5, 1.0, 1.7), -0.0719911960846282 + 0.07820961783981299j),
+        # more commensurate weights, each one Hurwitz combination over L residues
+        (2.6 + 7j, 1.0, (2.0, 3.0), 0.9945789429034703 - 0.04443843107974717j),
+        (4 - 3j, 0.3, (2.0, 3.0), -110.08683281889037 + 55.96130713641033j),
+        (3.5 + 10j, 1.0, (1.0, 2.0, 3.0), 1.0702737924266796 - 0.026143619694847575j),
+        (3.25 - 40j, 2.5, (1.0, 2.0, 3.0), 0.04236477399040643 - 0.0752004364507041j),
+        (3.5 + 10j, 1.0, (2.0, 3.0, 5.0), 1.0012859574278692 + 0.016679512684964648j),
+        (5 + 2j, 0.7, (2.0, 3.0, 5.0), 4.494219369148216 + 3.8867546055065034j),
     ],
 )
 def test_direct_keeps_its_bits(s, a, w, want):

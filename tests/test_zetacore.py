@@ -272,6 +272,37 @@ def test_rational_twists_share_the_hurwitz_domain():
         assert (got.real.hex(), got.imag.hex()) == want
 
 
+def test_rational_twists_at_q7_and_q8_keep_their_bits(monkeypatch):
+    reflected = []
+    original = zc._hurwitz_reflected
+
+    def spy(s, a, prec):
+        reflected.append(a)
+        return original(s, a, prec)
+
+    monkeypatch.setattr(zc, "_hurwitz_reflected", spy)
+    for args, want, reflections in (
+        # at Re s = -4 every residue (j + 0.3)/q cancels and takes the reflection
+        ((-4 + 5j, 0.3, Fraction(1, 7)), ("0x1.7749db19c9fafp+11", "-0x1.2590ddc8fb824p+13"), 7),
+        ((-4 + 5j, 0.3, Fraction(3, 8)), ("-0x1.3c7292b71094cp+6", "0x1.552b8aa313580p+0"), 8),
+        ((0.5 + 3j, 0.7, Fraction(2, 7)), ("0x1.7492a824284eep+0", "0x1.f720167f8547ep+0"), 0),
+        ((-1.2 + 300j, 0.3, Fraction(3, 7)), ("-0x1.bf7cfddd3589cp+9", "-0x1.21bed070937eap+12"), 0),
+        ((0.5 + 3j, 0.7, Fraction(1, 8)), ("0x1.26559f76477a0p+1", "-0x1.71ab1803ac960p+0"), 0),
+        ((2.5 - 40j, 1.5, Fraction(5, 8)), ("-0x1.b5e3190d753a7p-2", "-0x1.610529f174f52p-4"), 0),
+    ):
+        reflected.clear()
+        got = zc.lerch_zeta_bounded(*args)[0]
+        assert (got.real.hex(), got.imag.hex()) == want
+        assert len(reflected) == reflections
+    for args, want in (
+        ((Fraction(2, 7), 0.5 + 2j), ("-0x1.03bf79dc10bd7p+0", "0x1.22244cf12eee6p+0")),
+        ((Fraction(3, 7), -1.5 + 10j), ("-0x1.931b1a41ac149p+3", "-0x1.2516e7759d9f7p+4")),
+        ((Fraction(1, 7), 3.25 - 30j), ("0x1.0af54500a6793p-1", "0x1.6dbd11b9e2574p-1")),
+    ):
+        got = zc.periodic_zeta(*args)
+        assert (got.real.hex(), got.imag.hex()) == want
+
+
 def test_periodic_zeta_frozen_value():
     got = zc.periodic_zeta(Fraction(1, 3), 2.2)
     want = complex(-0.54585145798685945, 0.69874140549167006)
