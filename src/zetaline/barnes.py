@@ -24,7 +24,8 @@ Two families are implemented.
       b_rho = (a/q + rho) / L,
 
   with exact e_{rho,i} from r counts per residue (`_denumerant_terms`), and
-  `_hurwitz_combination` evaluates it, L kernel calls of at most r rows.
+  `_hurwitz_combination` evaluates it, one kernel call of at most L r
+  (sigma, shift) rows (s - i, b_rho).
   Its err is absolute, |(qL)^(-s)| sum |e| |v| err_H (not yet a certified
   bound).  The other path, for weights such as (1, sqrt 2) whose
   combination costs more, collapses the lattice one coordinate at a time,
@@ -79,6 +80,7 @@ from .zetacore import (
     _gate,
     _hurwitz_rows,
     _hurwitz_scalar,
+    _ordinate_top,
     _phase_sum,
     hurwitz_line_batch,
 )
@@ -147,20 +149,23 @@ def _hurwitz_combination(
 ) -> Tuple[complex, float]:
     """Q^(-s) sum over groups (b, terms) of sum_j c_j zeta_H(s - j, b), with its err.
 
-    The one scalar evaluator of Hurwitz combinations: each group is one
-    `_hurwitz_rows` call (its rows share their phase sums), gated under name
-    like `hurwitz_zeta_bounded`, then combined.  err is absolute,
-    |Q^(-s)| sum |c_j| |v_j| err_j; relative=True drops |v_j|, the unit that
-    `multi_hurwitz_bounded` keeps (its rank-one err is the Hurwitz err).
+    The one scalar evaluator of Hurwitz combinations: every term is a
+    (sigma - j, b) row of one `_hurwitz_rows` call (rows with one b share
+    their phase sums, rows with one j their Bernoulli pass), gated once under
+    name like `hurwitz_zeta_bounded`, then combined group by group.  err is
+    absolute, |Q^(-s)| sum |c_j| |v_j| err_j; relative=True drops |v_j|, the
+    unit that `multi_hurwitz_bounded` keeps (its rank-one err is the Hurwitz err).
     """
-    ts = np.array([s.imag])
-    parts, err = [], 0.0
-    for b, terms in groups:
-        vals, errs = _hurwitz_rows([s.real - j for j, _ in terms], b, ts, prec)
-        _gate(name, errs, prec)
-        parts.append(complex(_combine(terms, vals)[0]))
-        for (_, cf), v, e in zip(terms, vals[:, 0], errs):
+    rows = [(s.real - j, b) for b, terms in groups for j, _ in terms]
+    vals, errs = _hurwitz_rows(rows, np.array([s.imag]), prec)
+    _gate(name, errs, prec)
+    parts, err, lo = [], 0.0, 0
+    for _, terms in groups:
+        hi = lo + len(terms)
+        parts.append(complex(_combine(terms, vals[lo:hi])[0]))
+        for (_, cf), v, e in zip(terms, vals[lo:hi, 0], errs[lo:hi]):
             err += abs(cf) * float(e) * (1.0 if relative else float(abs(v)))
+        lo = hi
     total = sum(parts[1:], parts[0])
     if Q == 1.0:  # 1^(-s) could still flip the sign of a zero part
         return total, err
@@ -367,8 +372,8 @@ def barnes_direct(s: complex, a: float, w: Sequence[float]) -> Tuple[complex, fl
     Two paths, chosen by cost from counts known before any evaluation:
 
     * combination: commensurate weights w = q n are the Hurwitz combination
-      of `_denumerant_terms`, L = lcm(n) kernel calls of at most r rows, L r
-      rows in all, evaluated by `_hurwitz_combination`.  Its err is
+      of `_denumerant_terms`, L = lcm(n) residues of at most r rows each,
+      evaluated by `_hurwitz_combination` in one kernel call.  Its err is
       |Q^(-s)| sum |e| |v| err_H.
     * recursion: the composed Euler-Maclaurin collapse (`_F`), one Hurwitz
       value per atom.  Its err combines the Hurwitz remainders of every atom
@@ -635,7 +640,7 @@ def barnes_truncated_line_batch(
     w = _check_weights(w)
     r = len(w)
     ts = np.asarray(ts, dtype=float)
-    t_max = float(np.max(np.abs(ts))) if ts.size else 0.0
+    t_max = _ordinate_top(ts)
     if x is None:
         x = TruncationPolicy.x_for(t_max)
     _check_truncation_window(x, t_max)

@@ -24,7 +24,8 @@ summed directly (absolutely convergent region only) with an Abel-summation
 tail bound.  ``_rational_twist`` is the one parser of ``lambda`` (and of the
 periodic zeta's ``x``) and holds the one denominator cap, q <= 1024, for
 values (`lerch_zeta_bounded`) and vertical lines (`lerch_line`) alike;
-``_twist_sum`` is the one q-fold of values and ``_periodic`` the one periodic zeta.
+``_twist_sum`` is the one q-fold of values (its q rows (s, (j+a)/q) take one
+`_hurwitz_rows` call) and ``_periodic`` the one periodic zeta.
 
 Vertical-line batches (`hurwitz_line`, `hurwitz_line_batch`) share the phase
 sums ``sum_m (m+a)^(-sigma) exp(-i t log(m+a))`` across all requested real
@@ -360,101 +361,168 @@ def _interpolate(samples: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.stack([(row[cols] * weight).sum(axis=1) for row in samples])
 
 
+def _groups(keys: list) -> list:
+    """(key, ix, sel) for each distinct key, in order of first appearance: ix
+    lists the rows with that key, and sel selects them from row arrays: a
+    lone row as its index (a one-dimensional view), consecutive rows as a
+    slice (a view), other rows as the list (a copy)."""
+    if len(keys) == 1:
+        return [(keys[0], [0], 0)]
+    found: dict = {}
+    for i, key in enumerate(keys):
+        found.setdefault(key, []).append(i)
+    return [(key, ix, _selector(ix)) for key, ix in found.items()]
+
+
+def _selector(ix: list):
+    if len(ix) == 1:
+        return ix[0]
+    return slice(ix[0], ix[-1] + 1) if ix[-1] - ix[0] == len(ix) - 1 else ix
+
+
+def _tail_constants(sig: float, shifts: list, sums: list, N: int, ulps: float):
+    """Per shift a, with z = N + a: log z, z^-2, z^(-sig - 2 _EM_DEPTH - 1),
+    z^(-sig), the rounding ulps max(a^-sig, z^-sig) and ulps sum |amps| of the
+    row.  Floats for one shift, else (m, 1) columns; each is a Python float
+    op, as numpy's log and power need not round alike."""
+    per = []
+    for a, total in zip(shifts, sums):
+        z = N + a
+        per.append((math.log(z), z ** -2.0, z ** (-sig - 2 * _EM_DEPTH - 1), z ** (-sig),
+                    ulps * max(a ** (-sig), z ** (-sig)), ulps * total))
+    return per[0] if len(per) == 1 else [np.array(c)[:, None] for c in zip(*per)]
+
+
 def _em_kernel(
-    sigmas: Sequence[float],
-    a: float,
+    rows: Sequence[Tuple[float, float]],
     ts: np.ndarray,
     n_terms: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Euler-Maclaurin evaluation of zeta_H(sigma_i + i t_j, a).
+    """Euler-Maclaurin evaluation of zeta_H(sigma_i + i t_j, a_i) for rows
+    (sigma_i, a_i) at the ordinates ts.
 
-    Returns (values[S, T], err[S, T], cancel[S, T]), per node: err is the
+    Returns (values[R, T], err[R, T], cancel[R, T]), per node: err is the
     first omitted correction plus summation rounding, relative to the scale
     max(|value|, (N+a)^(-sigma)); cancel is the rounding of the sum the kernel
     forms, eps log2(N+2) sum_m |amps_m|, relative to |value|, which flags
     cancellation (partial sums far above the value) and zeros of the function.
+    Rows with one shift share a `_phase_sum`; rows with one sigma share one
+    pass of the tail and the Bernoulli corrections, over a (shifts x nodes)
+    array, and each row's bits are those it has when evaluated alone.
     """
     N = n_terms
-
-    base = np.arange(N, dtype=float) + a
-    logv = np.log(base)
-    z = N + a
-    logz = math.log(z)
-
-    amps = [np.power(base, -sig) for sig in sigmas]
-    out = _phase_sum(logv, amps, ts)
+    terms = np.arange(N, dtype=float)
+    amp_sums = [0.0] * len(rows)
+    blocks = []
+    for a, ix, sel in _groups([a for _, a in rows]):
+        base = terms + a
+        amps = [np.power(base, -rows[i][0]) for i in ix]
+        blocks.append((sel, _phase_sum(np.log(base), amps, ts)))
+        for i, amp in zip(ix, amps):
+            amp_sums[i] = float(np.sum(amp))
+    if len(blocks) == 1:
+        out = blocks[0][1]
+    else:
+        out = np.empty((len(rows), ts.size), dtype=complex)
+        for sel, block in blocks:
+            out[sel] = block
     errs = np.zeros(out.shape)
     cancels = np.zeros(out.shape)
-    for i, sig in enumerate(sigmas):
+    ulps = 1e-16 * math.log2(N + 2.0)
+    for sig, ix, sel in _groups([sig for sig, _ in rows]):
         s = sig + 1j * ts
-        if np.any(np.abs(s - 1.0) < _POLE_GUARD):
+        # |s - 1| >= |sigma - 1|, so only a sigma near 1 needs the nodes
+        if abs(sig - 1.0) < _POLE_GUARD and np.any(np.abs(s - 1.0) < _POLE_GUARD):
             raise PoleError(
                 f"zeta_H pole guard: s within {_POLE_GUARD} of 1 "
                 f"(sigma={sig})",
                 distance=float(np.min(np.abs(s - 1.0))),
             )
-        val = out[i]
+        logz, invz2, z_last, z_sig, rounding, sum_ulps = _tail_constants(
+            sig, [rows[i][1] for i in ix], [amp_sums[i] for i in ix], N, ulps
+        )
+        if len(ix) > 1:
+            # numpy may take another inner loop for a broadcast operand, whose
+            # complex product need not round like the contiguous one; tiled to
+            # a contiguous (shifts x nodes) array, s meets every factor as in
+            # a one-shift call
+            s = np.tile(s, (len(ix), 1))
+        val = out[sel]
         val += np.exp((1.0 - s) * logz) / (s - 1.0)
         val += 0.5 * np.exp(-s * logz)
         poch = s.astype(complex)
         zpow = np.exp(-(s + 1.0) * logz)
-        invz2 = z ** -2.0
         for k in range(1, _EM_DEPTH + 1):
             val += (_BERN_FAC[k] * zpow) * poch
-            poch = poch * ((s + (2 * k - 1)) * (s + 2 * k))
+            # numpy's SIMD complex multiply is not bitwise commutative, and
+            # from 256 KiB on its temporary elision would evaluate
+            # poch * (f) as f * poch, so the array's size would pick the
+            # order; np.multiply fixes it at poch * f
+            poch = np.multiply(poch, (s + (2 * k - 1)) * (s + 2 * k))
             zpow = zpow * invz2
-        omitted = _BERN_FAC[_EM_DEPTH + 1] * np.abs(poch) * (
-            z ** (-sig - 2 * _EM_DEPTH - 1)
-        )
-        ulps = 1e-16 * math.log2(N + 2.0)
-        rounding = ulps * max(a ** (-sig), z ** (-sig))
-        scale = np.maximum(np.abs(val), z ** (-sig))
-        mag = np.maximum(np.abs(val), 1e-300)
-        errs[i] = (omitted + rounding) / scale
-        cancels[i] = ulps * float(np.sum(amps[i])) / mag
+        omitted = _BERN_FAC[_EM_DEPTH + 1] * np.abs(poch) * z_last
+        size = np.abs(val)
+        scale = np.maximum(size, z_sig)
+        mag = np.maximum(size, 1e-300)
+        if isinstance(sel, list):
+            out[sel] = val  # a list gathers a copy
+        errs[sel] = (omitted + rounding) / scale
+        cancels[sel] = sum_ulps / mag
     return out, errs, cancels
 
 
 def _hurwitz_rows(
-    sigmas: Sequence[float],
-    a: float,
+    rows: Sequence[Tuple[float, float]],
     ts: np.ndarray,
     prec: Precision,
     n_terms: int | None = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Rows zeta_H(sigma_i + i t, a) and each row's largest err: the one path
-    of Hurwitz values and lines.  The Euler-Maclaurin kernel and the
-    reflection fallback node by node.  N comes from max |t| unless n_terms is
-    given, but without n_terms the nodes of sigma <= 0 rows split into octaves
-    of |t| + 10, each with N from its own top: those rows' partial sums reach
-    ~N^(1 - sigma), which a far top node makes cancel at small |t|."""
-    if not a > 0:
-        raise DomainError(f"zeta_H needs a > 0, got a={a}")
+    """Rows zeta_H(sigma_i + i t, a_i) for (sigma, shift) pairs, and each
+    row's largest err: the one path of Hurwitz values and lines, one kernel
+    call for every row of a value (a Lerch q-fold, a Hurwitz combination).
+    The Euler-Maclaurin kernel and the reflection fallback node by node.  N
+    comes from max |t| unless n_terms is given, but without n_terms the nodes
+    of sigma <= 0 rows split into octaves of |t| + 10, each with N from its
+    own top: those rows' partial sums reach ~N^(1 - sigma), which a far top
+    node makes cancel at small |t|."""
+    for _, a in rows:
+        if not a > 0:
+            raise DomainError(f"zeta_H needs a > 0, got a={a}")
     ts = np.asarray(ts, dtype=float)
-    n = n_terms if n_terms is not None else _shift_count(float(np.max(np.abs(ts), initial=0.0)))
-    low = [i for i, sig in enumerate(sigmas) if sig <= 0.0]
+    top = _ordinate_top(ts)
+    n = n_terms if n_terms is not None else _shift_count(top)
+    low = [i for i, (sig, _) in enumerate(rows) if sig <= 0.0]
     octave = np.frexp(np.abs(ts) + 10.0)[1] if low and n_terms is None and ts.size > 1 else None
     if octave is None or np.all(octave == octave[0]):
-        vals, errs, cancels = _em_kernel(sigmas, a, ts, n)
+        vals, errs, cancels = _em_kernel(rows, ts, n)
     else:
-        vals = np.empty((len(sigmas), ts.size), dtype=complex)
+        vals = np.empty((len(rows), ts.size), dtype=complex)
         errs, cancels = np.empty(vals.shape), np.empty(vals.shape)
-        high = [i for i, sig in enumerate(sigmas) if sig > 0.0]
+        high = [i for i, (sig, _) in enumerate(rows) if sig > 0.0]
         bands = [(low, octave == e) for e in np.unique(octave)]
         # sigma > 0 rows keep one band over every node, N from the top node
-        for rows, cols in [(high, np.ones(ts.size, bool))] + bands:
-            if rows:
-                block, top = np.ix_(rows, cols), float(np.max(np.abs(ts[cols])))
+        for band, cols in [(high, np.ones(ts.size, bool))] + bands:
+            if band:
+                block, top = np.ix_(band, cols), float(np.max(np.abs(ts[cols])))
                 vals[block], errs[block], cancels[block] = _em_kernel(
-                    [sigmas[i] for i in rows], a, ts[cols], _shift_count(top)
+                    [rows[i] for i in band], ts[cols], _shift_count(top)
                 )
-    for i, sig in enumerate(sigmas):
+    for i, (sig, a) in enumerate(rows):
         if sig < -0.5:
             # cancellation-dominated nodes (the kernel's sum far above the
             # value): reflect to Re = 1 - sigma where the series converges fast
             for k in np.flatnonzero(cancels[i] > 8.0 * prec.rel_tol):
                 vals[i, k], errs[i, k] = _hurwitz_reflected(complex(sig, ts[k]), a, prec)
     return vals, errs.max(axis=1, initial=0.0)
+
+
+def _ordinate_top(ts: np.ndarray) -> float:
+    """max |t| over the ordinates ts (0 for none); DomainError unless every t
+    is finite.  The max is NaN when any t is, so one reduction checks both."""
+    top = float(np.max(np.abs(ts), initial=0.0))
+    if not math.isfinite(top):
+        raise DomainError(f"the ordinates ts must be finite, got max |t| = {top}")
+    return top
 
 
 def _gate(name: str, errs, prec: Precision) -> None:
@@ -468,7 +536,7 @@ def _gate(name: str, errs, prec: Precision) -> None:
 
 def _hurwitz_scalar(s: complex, a: float, prec: Precision) -> Tuple[complex, float]:
     """The one-point row of `_hurwitz_rows`, without public-domain clamps."""
-    vals, errs = _hurwitz_rows([s.real], a, np.array([s.imag]), prec)
+    vals, errs = _hurwitz_rows([(s.real, a)], np.array([s.imag]), prec)
     return complex(vals[0, 0]), float(errs[0])
 
 
@@ -554,7 +622,7 @@ def hurwitz_line_batch(
 ) -> np.ndarray:
     """Rows zeta_H(sigma_i + i t, a) sharing their phase sums across sigma_i,
     by octave of |t| at sigma <= 0, with reflection node by node (`_hurwitz_rows`)."""
-    vals, errs = _hurwitz_rows(list(sigmas), a, ts, prec, n_terms)
+    vals, errs = _hurwitz_rows([(sig, a) for sig in sigmas], ts, prec, n_terms)
     _gate("hurwitz_line", errs, prec)
     return vals
 
@@ -599,13 +667,16 @@ def _twist_sum(
     s: complex, a: float, fr: Fraction, prec: Precision, first: int = 0
 ) -> Tuple[complex, float]:
     """q^(-s) sum_j e(j p/q) zeta_H(s, (j + a)/q) over j = first..first+q-1, with
-    its err: zeta_L(s, a, p/q) at first = 0 and F(p/q, s) at a = 0, first = 1."""
+    its err: zeta_L(s, a, p/q) at first = 0 and F(p/q, s) at a = 0, first = 1.
+    The q rows (s, (j + a)/q) take one `_hurwitz_rows` call, and the sum over j
+    runs in Python complex arithmetic."""
     if fr == 0:
         return _hurwitz_scalar(s, a + first, prec)
+    roots, shifts = zip(*_twist_terms(a, fr, first))
+    vals, errs = _hurwitz_rows([(s.real, b) for b in shifts], np.array([s.imag]), prec)
     total = 0.0 + 0.0j
     err = 0.0
-    for root, shifted in _twist_terms(a, fr, first):
-        v, e = _hurwitz_scalar(s, shifted, prec)
+    for root, v, e in zip(roots, vals[:, 0].tolist(), errs.tolist()):
         total += root * v
         err += abs(e * v)
     scale = cmath.exp(-s * math.log(fr.denominator))

@@ -294,6 +294,16 @@ def test_direct_takes_the_cheaper_path(monkeypatch, w, s, combination):
     assert ("combination" in taken) == combination
 
 
+def test_a_commensurate_value_is_one_kernel_call(monkeypatch):
+    calls = []
+    rows = bz._hurwitz_rows
+    monkeypatch.setattr(bz, "_hurwitz_rows",
+                        lambda *args, **kwargs: calls.append(len(args[0])) or rows(*args, **kwargs))
+    bz.barnes_direct(3.5 + 10j, 1.0, (2.0, 3.0, 5.0))
+    # L = lcm(2, 3, 5) = 30 residues, at most r = 3 rows each
+    assert len(calls) == 1 and 30 <= calls[0] <= 90
+
+
 @pytest.mark.parametrize(
     "w, s",
     [((math.sqrt(2.0),), 1.15 + 3j), ((1.0, math.sqrt(2.0)), 2.5 + 40j),

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetaline import zetacore as zc
-from zetaline.barnes import multi_hurwitz_line
+from zetaline.barnes import barnes_truncated_line, multi_hurwitz_line
 from zetaline.errors import (
     AccuracyError,
     DomainError,
@@ -113,6 +113,72 @@ def test_line_batch_shares_rows_bitwise():
     single = zc.hurwitz_line(1.5, 0.3, ts, n_terms=400)
     multi = zc.hurwitz_line_batch([0.5, 1.5], 0.3, ts, n_terms=400)
     assert single.tobytes() == multi[1].tobytes()
+
+
+@pytest.mark.parametrize(
+    "rows, ts, reflects",
+    [
+        # one node, where the sigma = -4 rows reflect
+        ([(-4.0, 0.0375), (0.5, 1.0), (-4.0, 0.5375), (0.5, 0.0375), (2.5, 1.0), (-4.0, 1.0)],
+         np.array([5.0]), True),
+        # a Simpson grid of 19,981 nodes: past numpy's 256 KiB temporary elision,
+        # and the sigma <= 0 rows split into octaves of |t|
+        ([(0.5, 1.0), (0.5, 0.3), (-0.5, 1.0), (2.0, 0.3), (0.0, 0.3), (-0.5, 0.3)],
+         simpson_nodes(1000.0, 1.0)[0], False),
+        # 9,981 nodes: each row under the 256 KiB of numpy's temporary elision,
+        # each sigma's (shifts x nodes) pass over it
+        ([(0.5, 1.0), (1.5, 0.3), (0.5, 0.3), (1.5, 2.5), (1.5, 1.0)],
+         simpson_nodes(500.0, 1.0)[0], False),
+        # sigma <= 0 rows over several octaves, and sigma < -0.5 nodes that reflect
+        ([(-1.5, 0.5), (0.75, 0.5), (-1.5, 2.5), (-0.25, 0.5), (0.75, 2.5), (-3.0, 0.5)],
+         np.array([0.0, 2.0, 7.0, 30.0, 90.0, 250.0]), True),
+    ],
+    ids=["one_node", "simpson_grid", "elision_straddle", "octaves"],
+)
+def test_batched_rows_equal_each_row_alone(monkeypatch, rows, ts, reflects):
+    reflected = []
+    original = zc._hurwitz_reflected
+    monkeypatch.setattr(zc, "_hurwitz_reflected",
+                        lambda s, a, prec: reflected.append(s) or original(s, a, prec))
+    vals, errs = zc._hurwitz_rows(rows, ts, zc.DEFAULT_PRECISION)
+    assert bool(reflected) == reflects
+    for i, row in enumerate(rows):
+        alone, err = zc._hurwitz_rows([row], ts, zc.DEFAULT_PRECISION)
+        assert vals[i].tobytes() == alone[0].tobytes()
+        assert errs[i].tobytes() == err[0].tobytes()
+    # N = 30 is short, so the Bernoulli corrections carry the kernel's values
+    # and per-node errs, and a 1-ulp change in one of their factors shows
+    batched = zc._em_kernel(rows, ts, 30)
+    for i, row in enumerate(rows):
+        for got, alone in zip(batched, zc._em_kernel([row], ts, 30)):
+            assert got[i].tobytes() == alone[0].tobytes()
+
+
+def test_a_lerch_value_is_one_kernel_call(monkeypatch):
+    calls = []
+    rows = zc._hurwitz_rows
+    monkeypatch.setattr(zc, "_hurwitz_rows",
+                        lambda *args, **kwargs: calls.append(len(args[0])) or rows(*args, **kwargs))
+    zc.lerch_zeta_bounded(complex(0.5, 20.0), 0.3, Fraction(3, 8))
+    assert calls == [8]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "line",
+    [
+        lambda ts: zc.hurwitz_line(0.5, 1.0, ts),
+        lambda ts: zc.hurwitz_line_batch([0.5, 1.5], 1.0, ts),
+        lambda ts: zc.lerch_line(0.5, 1.0, Fraction(1, 3), ts, zc.DEFAULT_PRECISION),
+        lambda ts: multi_hurwitz_line(1.5, 1.0, 2, ts),
+        lambda ts: barnes_truncated_line(1.5, 1.0, (1.0, 2.0), ts),
+    ],
+    ids=["hurwitz_line", "hurwitz_line_batch", "lerch_line", "multi_hurwitz_line",
+         "barnes_truncated_line"],
+)
+def test_non_finite_ordinates_are_domain_errors(line, bad):
+    with pytest.raises(DomainError, match="ordinates ts"):
+        line(np.array([1.0, bad, 5.0]))
 
 
 def test_line_gate_reads_every_node():
