@@ -10,8 +10,7 @@ Two families are implemented.
   continuation of the Hurwitz zeta (poles at s = 1, ..., r; ``_check_pole`` is
   the one rank-r guard, shared with the truncated line).  Only nonzero terms are
   evaluated (p_{r,0}(1) = 0 for r >= 2).  The scalar is the Q = 1 case of
-  `_hurwitz_combination`, each term gated like ``hurwitz_zeta_bounded``, and
-  its bound is ``sum_j |p_{r,j}| err_j``.
+  `_hurwitz_combination`, each term gated like ``hurwitz_zeta_bounded``.
 
 * ``barnes_direct`` / ``barnes_truncated_line``: general positive weights ``w``.
   The direct evaluator needs ``Re s > r + 0.1`` and has two paths.  One
@@ -26,8 +25,8 @@ Two families are implemented.
   with exact e_{rho,i} from r counts per residue (`_denumerant_terms`), and
   `_hurwitz_combination` evaluates it, one kernel call of at most L r
   (sigma, shift) rows (s - i, b_rho).
-  Its err is absolute, |(qL)^(-s)| sum |e| |v| err_H (not yet a certified
-  bound).  The other path, for weights such as (1, sqrt 2) whose
+  Its err is absolute, as every err of the package (`zetacore._sum_err`;
+  not yet a certified bound).  The other path, for weights such as (1, sqrt 2) whose
   combination costs more, collapses the lattice one coordinate at a time,
   ``F_j(y) = sum_{m>=0} F_(j-1)(y + m w_j)`` from ``F_0(y) = y^(-s)``: the
   points below the threshold ``y_req`` form an explicit window whose
@@ -82,6 +81,7 @@ from .zetacore import (
     _hurwitz_scalar,
     _ordinate_top,
     _phase_sum,
+    _sum_err,
     hurwitz_line_batch,
 )
 
@@ -145,7 +145,6 @@ def _hurwitz_combination(
     Q: float,
     groups: Sequence[Tuple[float, Sequence[Tuple[int, float]]]],
     prec: Precision,
-    relative: bool = False,
 ) -> Tuple[complex, float]:
     """Q^(-s) sum over groups (b, terms) of sum_j c_j zeta_H(s - j, b), with its err.
 
@@ -153,41 +152,37 @@ def _hurwitz_combination(
     (sigma - j, b) row of one `_hurwitz_rows` call (rows with one b share
     their phase sums, rows with one j their Bernoulli pass), gated once under
     name like `hurwitz_zeta_bounded`, then combined group by group.  err is
-    absolute, |Q^(-s)| sum |c_j| |v_j| err_j; relative=True drops |v_j|, the
-    unit that `multi_hurwitz_bounded` keeps (its rank-one err is the Hurwitz err).
+    the absolute `_sum_err` of the terms c_j v_j, scaled by |Q^(-s)|.
     """
     rows = [(s.real - j, b) for b, terms in groups for j, _ in terms]
     vals, errs = _hurwitz_rows(rows, np.array([s.imag]), prec)
     _gate(name, errs, prec)
-    parts, err, lo = [], 0.0, 0
+    coefs = [cf for _, terms in groups for _, cf in terms]
+    cvs = [(cf * v, e) for cf, v, e in zip(coefs, vals[:, 0].tolist(), errs.tolist())]
+    parts, lo = [], 0
     for _, terms in groups:
-        hi = lo + len(terms)
-        parts.append(complex(_combine(terms, vals[lo:hi])[0]))
-        for (_, cf), v, e in zip(terms, vals[lo:hi, 0], errs[lo:hi]):
-            err += abs(cf) * float(e) * (1.0 if relative else float(abs(v)))
-        lo = hi
+        parts.append(complex(_combine(terms, vals[lo : lo + len(terms)])[0]))
+        lo += len(terms)
     total = sum(parts[1:], parts[0])
-    if Q == 1.0:  # 1^(-s) could still flip the sign of a zero part
-        return total, err
-    factor = cmath.exp(-s * math.log(Q))
-    return factor * total, abs(factor) * err
+    factor = cmath.exp(-s * math.log(Q))  # not applied at Q = 1: it could flip a zero's sign
+    return (total if Q == 1.0 else factor * total), _sum_err(cvs, abs(factor))
 
 
 def multi_hurwitz_bounded(
     s: complex, a: float, r: int, prec: Precision = DEFAULT_PRECISION
 ) -> Tuple[complex, float]:
-    """zeta_r(s, a) = sum_{j=0}^{r-1} p_{r,j}(a) zeta_H(s - j, a), with its bound.
+    """zeta_r(s, a) = sum_{j=0}^{r-1} p_{r,j}(a) zeta_H(s - j, a), with its err.
 
     The Q = 1 case of `_hurwitz_combination`, one kernel call over the terms
-    with p_{r,j} != 0; the bound is sum_j |p_{r,j}| err_j.  Each term is gated
-    like `hurwitz_zeta_bounded`, with its DomainError and AccuracyError.
+    with p_{r,j} != 0; at r = 1 its err is the Hurwitz err.  Each term is
+    gated like `hurwitz_zeta_bounded`, with its DomainError and AccuracyError.
     """
     s = complex(s)
     terms = _reduction_terms(r, a)
     _check_pole(s.real, np.array([s.imag]), r)
     for j, _ in terms:
         _check_hurwitz_domain("hurwitz_zeta", s - j, a)
-    return _hurwitz_combination("hurwitz_zeta", s, 1.0, [(a, terms)], prec, relative=True)
+    return _hurwitz_combination("hurwitz_zeta", s, 1.0, [(a, terms)], prec)
 
 
 def multi_hurwitz(
@@ -256,19 +251,18 @@ class _DirectState:
 
 def _tail_power_sums(st: _DirectState, level: int, base_y: float, wj: float) -> complex:
     """sum_{m>=0} F_level(base_y + m wj) via exact Hurwitz power sums."""
-    exp_ = st.expansions[level]
-    s = st.s
+    s, logw = st.s, math.log(wj)
     total = 0.0 + 0.0j
     top = 0.0
-    logw = math.log(wj)
-    for c, coef in sorted(exp_.items()):
+    terms = []
+    for c, coef in sorted(st.expansions[level].items()):
         hv, he = _hurwitz_scalar(s + c, base_y / wj, DEFAULT_PRECISION)
         term = coef * cmath.exp(-(s + c) * logw) * hv
         total += term
-        st.err += abs(he * term)
+        terms.append((term, he))
         if c >= _EXP_CAP - 1:
             top = max(top, abs(term))
-    st.err += 2.0 * top
+    st.err += _sum_err(terms) + 2.0 * top
     return total
 
 
@@ -373,12 +367,12 @@ def barnes_direct(s: complex, a: float, w: Sequence[float]) -> Tuple[complex, fl
 
     * combination: commensurate weights w = q n are the Hurwitz combination
       of `_denumerant_terms`, L = lcm(n) residues of at most r rows each,
-      evaluated by `_hurwitz_combination` in one kernel call.  Its err is
-      |Q^(-s)| sum |e| |v| err_H.
+      evaluated by `_hurwitz_combination` in one kernel call, whose err is
+      the `_sum_err` of its terms.
     * recursion: the composed Euler-Maclaurin collapse (`_F`), one Hurwitz
-      value per atom.  Its err combines the Hurwitz remainders of every atom
-      with twice the magnitude of the last kept expansion order at each use
-      site.
+      value per atom.  Its err adds the `_sum_err` of every tail of atoms
+      and twice the magnitude of the last kept expansion order at each use
+      site; the window sums' rounding is not counted.
 
     Rule: one count, taken before any value, picks the path and enforces the
     budget: the recursion's atoms (`_atoms`), counted until they pass

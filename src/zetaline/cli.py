@@ -3,7 +3,7 @@
 Three subcommands cover the library surface:
 
 * ``eval``       one value of the selected zeta function, printed as
-                 ``re=<v> im=<v> err=<bound>`` with 17 significant digits;
+                 ``re=<v> im=<v> err=<absolute err>`` with 17 significant digits;
 * ``meansquare`` mean-square runs along a vertical line, written as CSV,
                  optionally compared against the asymptotic prediction;
 * ``verify``     the named check suites, written as CSV + JSON verdicts.

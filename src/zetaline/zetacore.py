@@ -534,6 +534,17 @@ def _gate(name: str, errs, prec: Precision) -> None:
         )
 
 
+def _sum_err(terms, scale: float = 1.0) -> float:
+    """The one err of the package's values, absolute: scale * sum_k x_k over n terms
+    (x_k, err_k), err_k relative, has err scale (sum_k |err_k x_k| + (n - 1) 2^-52 sum_k |x_k|),
+    the last sum its rounding.  Python complex, so that one term's err is |err_1 x_1| to the bit."""
+    err = size = 0.0
+    for x, e in terms:
+        err += abs(e * x)
+        size += abs(x)
+    return scale * (err + (len(terms) - 1) * 2.0**-52 * size)
+
+
 def _hurwitz_scalar(s: complex, a: float, prec: Precision) -> Tuple[complex, float]:
     """The one-point row of `_hurwitz_rows`, without public-domain clamps."""
     vals, errs = _hurwitz_rows([(s.real, a)], np.array([s.imag]), prec)
@@ -578,12 +589,12 @@ def _check_hurwitz_domain(name: str, s: complex, a: float) -> None:
 def hurwitz_zeta_bounded(
     s: complex, a: float, prec: Precision = DEFAULT_PRECISION
 ) -> Tuple[complex, float]:
-    """zeta_H(s, a) together with the Euler-Maclaurin remainder estimate."""
+    """zeta_H(s, a) with its absolute err, the one-term `_sum_err`."""
     s = complex(s)
     _check_hurwitz_domain("hurwitz_zeta", s, a)
     val, err = _hurwitz_scalar(s, a, prec)
     _gate("hurwitz_zeta", err, prec)
-    return val, err
+    return val, _sum_err([(val, err)])
 
 
 def hurwitz_zeta(s: complex, a: float, prec: Precision = DEFAULT_PRECISION) -> complex:
@@ -666,21 +677,18 @@ def _twist_terms(a: float, fr: Fraction, first: int = 0):
 def _twist_sum(
     s: complex, a: float, fr: Fraction, prec: Precision, first: int = 0
 ) -> Tuple[complex, float]:
-    """q^(-s) sum_j e(j p/q) zeta_H(s, (j + a)/q) over j = first..first+q-1, with
-    its err: zeta_L(s, a, p/q) at first = 0 and F(p/q, s) at a = 0, first = 1.
-    The q rows (s, (j + a)/q) take one `_hurwitz_rows` call, and the sum over j
-    runs in Python complex arithmetic."""
-    if fr == 0:
-        return _hurwitz_scalar(s, a + first, prec)
+    """q^(-s) sum_j e(j p/q) zeta_H(s, (j + a)/q) over j = first..first+q-1, with its
+    absolute err (`_sum_err`): zeta_L(s, a, p/q) at first = 0 and F(p/q, s) at a = 0, first = 1.
+    The q rows (s, (j + a)/q) take one `_hurwitz_rows` call, and the sum over j runs in
+    Python complex arithmetic; at q = 1 it is the Hurwitz value, up to the sign of a zero part."""
     roots, shifts = zip(*_twist_terms(a, fr, first))
     vals, errs = _hurwitz_rows([(s.real, b) for b in shifts], np.array([s.imag]), prec)
+    terms = [(root * v, e) for root, v, e in zip(roots, vals[:, 0].tolist(), errs.tolist())]
     total = 0.0 + 0.0j
-    err = 0.0
-    for root, v, e in zip(roots, vals[:, 0].tolist(), errs.tolist()):
-        total += root * v
-        err += abs(e * v)
+    for x, _ in terms:
+        total += x
     scale = cmath.exp(-s * math.log(fr.denominator))
-    return scale * total, abs(scale) * err
+    return scale * total, _sum_err(terms, abs(scale))
 
 
 def lerch_zeta_bounded(
@@ -689,13 +697,13 @@ def lerch_zeta_bounded(
     lam: LambdaLike,
     prec: Precision = DEFAULT_PRECISION,
 ) -> Tuple[complex, float]:
-    """zeta_L(s, a, lambda) with an error estimate.
+    """zeta_L(s, a, lambda) with its absolute err.
 
-    Rational lambda: exact q-fold Hurwitz reduction, on hurwitz_zeta's domain
-    (0 < a <= 1e4, -10 <= Re s <= 10, |Im s| <= 1e5; DomainError outside).
-    Other lambda: direct series, needs
-    Re s > 1; raises UnsupportedRegionError otherwise and AccuracyError when
-    the Abel tail bound cannot reach the tolerance within ``_LERCH_MAX_TERMS``.
+    Rational lambda, integers too: exact q-fold Hurwitz reduction (`_twist_sum`)
+    on hurwitz_zeta's domain (0 < a <= 1e4, -10 <= Re s <= 10, |Im s| <= 1e5;
+    DomainError outside).  Other lambda: direct series, needs Re s > 1; raises
+    UnsupportedRegionError otherwise and AccuracyError when the Abel tail
+    bound, its err, cannot reach the tolerance within ``_LERCH_MAX_TERMS``.
     """
     s = complex(s)
     if not a > 0:
@@ -721,15 +729,12 @@ def lerch_line(
             "line evaluation of the twisted series needs rational lam "
             "(pass a Fraction)"
         )
-    if fr == 0:
-        return hurwitz_line(sigma, a, ts, prec)
     total = np.zeros(ts.size, dtype=complex)
     for root, shifted in _twist_terms(a, fr):
         total += root * hurwitz_line(sigma, shifted, ts, prec)
     # q^(-s) = q^(-sigma) e^(-i t log q)
     q = fr.denominator
-    total *= q ** (-sigma) * np.exp((-1j * math.log(q)) * ts)
-    return total
+    return total * (q ** (-sigma) * np.exp((-1j * math.log(q)) * ts))
 
 
 def lerch_zeta(

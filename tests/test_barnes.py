@@ -247,6 +247,28 @@ def test_direct_at_commensurate_weights_matches_mpmath(w, q, n, a):
         assert type(got) is complex and type(err) is float
 
 
+@pytest.mark.parametrize("s, a", [(3.5 + 5j, 1000.0), (3.5 + 5j, 100.0), (4 - 20j, 100.0)])
+def test_combination_err_counts_the_rounding_of_its_sum(s, a):
+    # at w = (1, 2) the terms' moduli sum to ~11 times the value, and the sum's
+    # rounding, not the Hurwitz remainders, sets the error
+    mpmath = pytest.importorskip("mpmath")
+    got, err = bz.barnes_direct(s, a, (1.0, 2.0))
+    with mpmath.workdps(40):
+        ref, _ = mpmath_commensurate(s, a, 1.0, (1, 2))
+    assert abs(got - ref) <= err
+
+
+@pytest.mark.parametrize("s, a", [(2.5 + 3j, 0.7), (3.25 - 40j, 2.5)])
+def test_every_rank_one_err_is_the_hurwitz_err(s, a):
+    # one absolute unit: each evaluator that reduces to one Hurwitz value
+    # returns its value and its err, bit for bit
+    want = zc.hurwitz_zeta_bounded(s, a)
+    for got in (zc.lerch_zeta_bounded(s, a, 0), zc.lerch_zeta_bounded(s, a, Fraction(1)),
+                bz.multi_hurwitz_bounded(s, a, 1), bz.barnes_direct(s, a, (1.0,))):
+        assert got[0] == want[0]
+        assert got[1].hex() == want[1].hex()
+
+
 @pytest.mark.parametrize("n", [(1,), (1, 1), (1, 2), (2, 3), (1, 3), (2, 5), (1, 1, 2),
                                (1, 2, 3), (3, 5, 7), (1, 2, 3, 4)])
 def test_denumerant_polynomials_reproduce_the_counts(n):

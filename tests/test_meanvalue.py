@@ -301,6 +301,9 @@ def test_lerch_line_matches_scalar():
         for idx in (0, 7, 22):
             ref = lerch_zeta(complex(0.75, ts[idx]), 0.7, lam)
             assert row[idx] == pytest.approx(ref, rel=1e-10)
+    # at q = 1 the fold is the Hurwitz line
+    for lam in (0, 1):
+        assert np.all(lerch_line(0.75, 0.7, lam, ts, DEFAULT_PRECISION) == hurwitz_line(0.75, 0.7, ts))
 
 
 def test_lerch_kind_irrational_rejected():
