@@ -156,16 +156,16 @@ def _hurwitz_combination(
     """
     rows = [(s.real - j, b) for b, terms in groups for j, _ in terms]
     vals, errs = _hurwitz_rows(rows, np.array([s.imag]), prec)
-    _gate(name, errs, prec)
+    _gate(name, errs[:, 0], prec)
     coefs = [cf for _, terms in groups for _, cf in terms]
-    cvs = [(cf * v, e) for cf, v, e in zip(coefs, vals[:, 0].tolist(), errs.tolist())]
+    cvs = list(zip(coefs, vals[:, 0].tolist(), errs[:, 1].tolist()))
     parts, lo = [], 0
     for _, terms in groups:
         parts.append(complex(_combine(terms, vals[lo : lo + len(terms)])[0]))
         lo += len(terms)
     total = sum(parts[1:], parts[0])
     factor = cmath.exp(-s * math.log(Q))  # not applied at Q = 1: it could flip a zero's sign
-    return (total if Q == 1.0 else factor * total), _sum_err(cvs, abs(factor))
+    return (total if Q == 1.0 else factor * total), _sum_err(cvs, abs(factor))[1]
 
 
 def multi_hurwitz_bounded(
@@ -252,17 +252,14 @@ class _DirectState:
 def _tail_power_sums(st: _DirectState, level: int, base_y: float, wj: float) -> complex:
     """sum_{m>=0} F_level(base_y + m wj) via exact Hurwitz power sums."""
     s, logw = st.s, math.log(wj)
-    total = 0.0 + 0.0j
-    top = 0.0
-    terms = []
+    terms, top = [], 0.0
     for c, coef in sorted(st.expansions[level].items()):
-        hv, he = _hurwitz_scalar(s + c, base_y / wj, DEFAULT_PRECISION)
-        term = coef * cmath.exp(-(s + c) * logw) * hv
-        total += term
-        terms.append((term, he))
+        hv, _, he = _hurwitz_scalar(s + c, base_y / wj, DEFAULT_PRECISION)
+        terms.append((coef * cmath.exp(-(s + c) * logw), hv, he))
         if c >= _EXP_CAP - 1:
-            top = max(top, abs(term))
-    st.err += _sum_err(terms) + 2.0 * top
+            top = max(top, abs(terms[-1][0] * hv))
+    total, err = _sum_err(terms)
+    st.err += err + 2.0 * top
     return total
 
 

@@ -8,8 +8,10 @@ midpoint term ``(N+a)^(-s)/2`` and ``_EM_DEPTH`` Bernoulli corrections
 
     B(2k)/(2k)! * s(s+1)...(s+2k-2) * (N+a)^(-s-2k+1),
 
-with the remainder estimated by the first omitted correction.  The shift
-count ``N = ceil(shift_count_factor*(|t|+10))`` keeps the correction ratio
+with the remainder estimated by the first omitted correction.  Every err
+returned is absolute, that remainder plus the rounding of the sums
+(``_sum_err``); the gate reads it relative.  The shift count
+``N = ceil(shift_count_factor*(|t|+10))`` keeps the correction ratio
 ``(|s+2k| / (2*pi*(N+a)))^2`` far below one over the whole supported region.
 The floor is the rounding of ``t*log(m+a)``, which err omits (ROADMAP item 3):
 4.7e-13 relative at 1/2 + 1000i and 5.0e-11 at 1/2 + 10^4 i, against mpmath.
@@ -401,9 +403,10 @@ def _em_kernel(
     """Euler-Maclaurin evaluation of zeta_H(sigma_i + i t_j, a_i) for rows
     (sigma_i, a_i) at the ordinates ts.
 
-    Returns (values[R, T], err[R, T], cancel[R, T]), per node: err is the
-    first omitted correction plus summation rounding, relative to the scale
-    max(|value|, (N+a)^(-sigma)); cancel is the rounding of the sum the kernel
+    Returns (values[R, T], err[R, T, 2], cancel[R, T]), per node: err[..., 0]
+    is the first omitted correction plus summation rounding, relative to the
+    scale max(|value|, (N+a)^(-sigma)), which the gate reads, and err[..., 1]
+    the same, absolute, plus cancel times |value|; cancel is the rounding of the sum the kernel
     forms, eps log2(N+2) sum_m |amps_m|, relative to |value|, which flags
     cancellation (partial sums far above the value) and zeros of the function.
     Rows with one shift share a `_phase_sum`; rows with one sigma share one
@@ -426,8 +429,7 @@ def _em_kernel(
         out = np.empty((len(rows), ts.size), dtype=complex)
         for sel, block in blocks:
             out[sel] = block
-    errs = np.zeros(out.shape)
-    cancels = np.zeros(out.shape)
+    errs, cancels = np.zeros((2,) + out.shape), np.zeros(out.shape)
     ulps = 1e-16 * math.log2(N + 2.0)
     for sig, ix, sel in _groups([sig for sig, _ in rows]):
         s = sig + 1j * ts
@@ -466,9 +468,10 @@ def _em_kernel(
         mag = np.maximum(size, 1e-300)
         if isinstance(sel, list):
             out[sel] = val  # a list gathers a copy
-        errs[sel] = (omitted + rounding) / scale
+        err = omitted + rounding
+        errs[0][sel], errs[1][sel] = err / scale, err + sum_ulps
         cancels[sel] = sum_ulps / mag
-    return out, errs, cancels
+    return out, errs.transpose(1, 2, 0), cancels
 
 
 def _hurwitz_rows(
@@ -478,8 +481,9 @@ def _hurwitz_rows(
     n_terms: int | None = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Rows zeta_H(sigma_i + i t, a_i) for (sigma, shift) pairs, and each
-    row's largest err: the one path of Hurwitz values and lines, one kernel
-    call for every row of a value (a Lerch q-fold, a Hurwitz combination).
+    row's largest err, relative and absolute, as (R, 2) columns: the one path
+    of Hurwitz values and lines, one kernel call for every row of a value (a
+    Lerch q-fold, a Hurwitz combination).
     The Euler-Maclaurin kernel and the reflection fallback node by node.  N
     comes from max |t| unless n_terms is given, but without n_terms the nodes
     of sigma <= 0 rows split into octaves of |t| + 10, each with N from its
@@ -497,7 +501,7 @@ def _hurwitz_rows(
         vals, errs, cancels = _em_kernel(rows, ts, n)
     else:
         vals = np.empty((len(rows), ts.size), dtype=complex)
-        errs, cancels = np.empty(vals.shape), np.empty(vals.shape)
+        errs, cancels = np.empty(vals.shape + (2,)), np.empty(vals.shape)
         high = [i for i, (sig, _) in enumerate(rows) if sig > 0.0]
         bands = [(low, octave == e) for e in np.unique(octave)]
         # sigma > 0 rows keep one band over every node, N from the top node
@@ -526,7 +530,7 @@ def _ordinate_top(ts: np.ndarray) -> float:
 
 
 def _gate(name: str, errs, prec: Precision) -> None:
-    """The accuracy gate of Hurwitz values and lines: err <= 64 rel_tol."""
+    """The accuracy gate of Hurwitz values and lines: relative err <= 64 rel_tol."""
     worst = float(np.max(errs, initial=0.0))
     if worst > 64.0 * prec.rel_tol:
         raise AccuracyError(
@@ -534,27 +538,31 @@ def _gate(name: str, errs, prec: Precision) -> None:
         )
 
 
-def _sum_err(terms, scale: float = 1.0) -> float:
-    """The one err of the package's values, absolute: scale * sum_k x_k over n terms
-    (x_k, err_k), err_k relative, has err scale (sum_k |err_k x_k| + (n - 1) 2^-52 sum_k |x_k|),
-    the last sum its rounding.  Python complex, so that one term's err is |err_1 x_1| to the bit."""
-    err = size = 0.0
-    for x, e in terms:
-        err += abs(e * x)
+def _sum_err(terms, scale: float = 1.0) -> Tuple[complex, float]:
+    """sum_k c_k v_k over n terms (c_k, v_k, err_k), summed from 0 in Python complex
+    arithmetic, and the one err of the package: the absolute err of scale times that sum,
+    scale (sum_k |c_k| err_k + (n - 1) 2^-52 sum_k |c_k v_k|), err_k the absolute err of
+    v_k and the last sum the rounding of the sum.  One term with |c_1| = 1 has err_1."""
+    total, err, size = 0.0 + 0.0j, 0.0, 0.0
+    for c, v, e in terms:
+        x = c * v
+        total += x
+        err += abs(c) * e
         size += abs(x)
-    return scale * (err + (len(terms) - 1) * 2.0**-52 * size)
+    return total, scale * (err + (len(terms) - 1) * 2.0**-52 * size)
 
 
-def _hurwitz_scalar(s: complex, a: float, prec: Precision) -> Tuple[complex, float]:
-    """The one-point row of `_hurwitz_rows`, without public-domain clamps."""
+def _hurwitz_scalar(s: complex, a: float, prec: Precision) -> Tuple[complex, float, float]:
+    """One-point row of `_hurwitz_rows`, no public-domain clamps: value, relative, absolute err."""
     vals, errs = _hurwitz_rows([(s.real, a)], np.array([s.imag]), prec)
-    return complex(vals[0, 0]), float(errs[0])
+    return complex(vals[0, 0]), float(errs[0, 0]), float(errs[0, 1])
 
 
 def _hurwitz_reflected(
     s: complex, a: float, prec: Precision
-) -> Tuple[complex, float]:
-    """zeta_H(s, a) by Hurwitz's functional equation from F(+-a, 1 - s) (`_periodic`)."""
+) -> Tuple[complex, Tuple[float, float]]:
+    """zeta_H(s, a) by Hurwitz's functional equation from F(+-a, 1 - s) (`_periodic`),
+    with its err, relative and absolute, as the kernel gives them."""
     shift_sum = 0.0 + 0.0j
     aa = a
     while aa > 1.0:
@@ -567,12 +575,12 @@ def _hurwitz_reflected(
     c_plus = cmath.exp(log_pref - 0.5j * math.pi * sp)
     c_minus = cmath.exp(log_pref + 0.5j * math.pi * sp)
     val = c_plus * f_plus + c_minus * f_minus - shift_sum
-    # relative to the term scale: near zeros of the function the value is
-    # still absolutely accurate at scale * err
+    # relative to the term scale: near a zero the value is still accurate at scale * err
     term_scale = abs(c_plus * f_plus) + abs(c_minus * f_minus) + abs(shift_sum)
     err = abs(c_plus) * ep + abs(c_minus) * em_
     scale = max(abs(val), term_scale, 1e-300)
-    return val, err / scale + 1e-15
+    rel = err / scale + 1e-15
+    return val, (rel, rel * scale)
 
 
 def _check_hurwitz_domain(name: str, s: complex, a: float) -> None:
@@ -592,9 +600,9 @@ def hurwitz_zeta_bounded(
     """zeta_H(s, a) with its absolute err, the one-term `_sum_err`."""
     s = complex(s)
     _check_hurwitz_domain("hurwitz_zeta", s, a)
-    val, err = _hurwitz_scalar(s, a, prec)
-    _gate("hurwitz_zeta", err, prec)
-    return val, _sum_err([(val, err)])
+    val, rel, err = _hurwitz_scalar(s, a, prec)
+    _gate("hurwitz_zeta", rel, prec)
+    return val, _sum_err([(1.0, val, err)])[1]
 
 
 def hurwitz_zeta(s: complex, a: float, prec: Precision = DEFAULT_PRECISION) -> complex:
@@ -634,7 +642,7 @@ def hurwitz_line_batch(
     """Rows zeta_H(sigma_i + i t, a) sharing their phase sums across sigma_i,
     by octave of |t| at sigma <= 0, with reflection node by node (`_hurwitz_rows`)."""
     vals, errs = _hurwitz_rows([(sig, a) for sig in sigmas], ts, prec, n_terms)
-    _gate("hurwitz_line", errs, prec)
+    _gate("hurwitz_line", errs[:, 0], prec)
     return vals
 
 
@@ -677,18 +685,14 @@ def _twist_terms(a: float, fr: Fraction, first: int = 0):
 def _twist_sum(
     s: complex, a: float, fr: Fraction, prec: Precision, first: int = 0
 ) -> Tuple[complex, float]:
-    """q^(-s) sum_j e(j p/q) zeta_H(s, (j + a)/q) over j = first..first+q-1, with its
-    absolute err (`_sum_err`): zeta_L(s, a, p/q) at first = 0 and F(p/q, s) at a = 0, first = 1.
-    The q rows (s, (j + a)/q) take one `_hurwitz_rows` call, and the sum over j runs in
-    Python complex arithmetic; at q = 1 it is the Hurwitz value, up to the sign of a zero part."""
+    """q^(-s) sum_j e(j p/q) zeta_H(s, (j + a)/q), j = first..first+q-1, and its `_sum_err`:
+    zeta_L(s, a, p/q) at first = 0 and F(p/q, s) at a = 0, first = 1.  The q rows take one
+    `_hurwitz_rows` call; at q = 1 it is the Hurwitz value, up to the sign of a zero part."""
     roots, shifts = zip(*_twist_terms(a, fr, first))
     vals, errs = _hurwitz_rows([(s.real, b) for b in shifts], np.array([s.imag]), prec)
-    terms = [(root * v, e) for root, v, e in zip(roots, vals[:, 0].tolist(), errs.tolist())]
-    total = 0.0 + 0.0j
-    for x, _ in terms:
-        total += x
     scale = cmath.exp(-s * math.log(fr.denominator))
-    return scale * total, _sum_err(terms, abs(scale))
+    total, err = _sum_err(list(zip(roots, vals[:, 0].tolist(), errs[:, 1].tolist())), abs(scale))
+    return scale * total, err
 
 
 def lerch_zeta_bounded(
@@ -732,8 +736,7 @@ def lerch_line(
     total = np.zeros(ts.size, dtype=complex)
     for root, shifted in _twist_terms(a, fr):
         total += root * hurwitz_line(sigma, shifted, ts, prec)
-    # q^(-s) = q^(-sigma) e^(-i t log q)
-    q = fr.denominator
+    q = fr.denominator  # q^(-s) = q^(-sigma) e^(-i t log q)
     return total * (q ** (-sigma) * np.exp((-1j * math.log(q)) * ts))
 
 

@@ -258,6 +258,18 @@ def test_combination_err_counts_the_rounding_of_its_sum(s, a):
     assert abs(got - ref) <= err
 
 
+@pytest.mark.parametrize("s", [0.5 + 14.134725j, 0.5 + 14.134725141734693j])
+def test_rank_one_err_covers_the_error_near_a_zero(s):
+    # |value| is 1e-7 and 2e-15 here, far below the Euler-Maclaurin scale
+    # (N + 1)^(-1/2) and the partial sums; an absolute err must not shrink with it
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ref = complex(mpmath.zeta(mpmath.mpc(s.real, s.imag)))
+    for got, err in (zc.hurwitz_zeta_bounded(s, 1.0), bz.multi_hurwitz_bounded(s, 1.0, 1),
+                     zc.lerch_zeta_bounded(s, 1.0, 0)):
+        assert abs(got - ref) <= err
+
+
 @pytest.mark.parametrize("s, a", [(2.5 + 3j, 0.7), (3.25 - 40j, 2.5)])
 def test_every_rank_one_err_is_the_hurwitz_err(s, a):
     # one absolute unit: each evaluator that reduces to one Hurwitz value
