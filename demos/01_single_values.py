@@ -1,9 +1,9 @@
 """Single values of the four zeta families, with error estimates.
 
 Every evaluator returns a value plus an error estimate; the bounded variants
-expose both.  The estimate is absolute for every family alike (a bound on
-|value - true value|, not yet a certified one), so the printed errs compare
-directly.  Two structural identities make good smoke tests: the rank-1
+expose both.  The estimate is absolute for every family alike (an estimate
+of |value - true value| that still falls short at some points, not yet a
+bound), so the printed errs compare directly.  Two structural identities make good smoke tests: the rank-1
 multiple function is the plain Hurwitz function, and at a = 1 with unit
 weights the rank-r function telescopes down to the Riemann zeta function
 shifted by r - 1.

@@ -405,10 +405,10 @@ def _em_kernel(
 
     Returns (values[R, T], err[R, T, 2], cancel[R, T]), per node: err[..., 0]
     is the first omitted correction plus summation rounding, relative to the
-    scale max(|value|, (N+a)^(-sigma)), which the gate reads, and err[..., 1]
-    the same, absolute, plus cancel times |value|; cancel is the rounding of the sum the kernel
-    forms, eps log2(N+2) sum_m |amps_m|, relative to |value|, which flags
-    cancellation (partial sums far above the value) and zeros of the function.
+    scale max(|value|, (N+a)^(-sigma)), for the gate; err[..., 1] is that,
+    absolute, plus the rounding of the kernel's sum, eps log2(N+2) sum |amps|;
+    cancel is that rounding relative to |value|, which flags cancellation
+    (partial sums far above the value) and zeros of the function.
     Rows with one shift share a `_phase_sum`; rows with one sigma share one
     pass of the tail and the Bernoulli corrections, over a (shifts x nodes)
     array, and each row's bits are those it has when evaluated alone.
@@ -539,10 +539,9 @@ def _gate(name: str, errs, prec: Precision) -> None:
 
 
 def _sum_err(terms, scale: float = 1.0) -> Tuple[complex, float]:
-    """sum_k c_k v_k over n terms (c_k, v_k, err_k), summed from 0 in Python complex
-    arithmetic, and the one err of the package: the absolute err of scale times that sum,
-    scale (sum_k |c_k| err_k + (n - 1) 2^-52 sum_k |c_k v_k|), err_k the absolute err of
-    v_k and the last sum the rounding of the sum.  One term with |c_1| = 1 has err_1."""
+    """sum_k c_k v_k over n terms (c_k, v_k, err_k), summed from 0 in Python complex, and the
+    one err of the package, the absolute err of scale times it: err_k being v_k's absolute err,
+    scale (sum_k |c_k| err_k + (n - 1) 2^-52 sum_k |c_k v_k|), the last sum the sum's rounding."""
     total, err, size = 0.0 + 0.0j, 0.0, 0.0
     for c, v, e in terms:
         x = c * v
@@ -736,7 +735,8 @@ def lerch_line(
     total = np.zeros(ts.size, dtype=complex)
     for root, shifted in _twist_terms(a, fr):
         total += root * hurwitz_line(sigma, shifted, ts, prec)
-    q = fr.denominator  # q^(-s) = q^(-sigma) e^(-i t log q)
+    # q^(-s) = q^(-sigma) e^(-i t log q)
+    q = fr.denominator
     return total * (q ** (-sigma) * np.exp((-1j * math.log(q)) * ts))
 
 
