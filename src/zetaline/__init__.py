@@ -3,8 +3,8 @@ lines, with mean-square statistics and verification suites.
 
 The package is organised bottom-up:
 
-* :mod:`zetaline.combinatorics` - exact Stirling/Bernoulli tables and the
-  coefficients reducing unit-weight multiple sums to Hurwitz zeta values.
+* :mod:`zetaline.combinatorics` - exact Bernoulli tables, lattice counts and
+  the coefficients reducing unit-weight multiple sums to Hurwitz zeta values.
 * :mod:`zetaline.zetacore` - Hurwitz and Lerch zeta evaluation on vertical
   lines (Euler-Maclaurin continuation), functional-equation residuals,
   generalized Euler constants.
@@ -35,8 +35,6 @@ from .combinatorics import (
     CoefficientTable,
     bernoulli,
     reduction_coefficients,
-    stirling_first,
-    stirling_row,
 )
 
 __all__ = [
@@ -51,6 +49,4 @@ __all__ = [
     "CoefficientTable",
     "bernoulli",
     "reduction_coefficients",
-    "stirling_first",
-    "stirling_row",
 ]

@@ -5,8 +5,9 @@ Two families are implemented.
 * ``multi_hurwitz_bounded`` / ``multi_hurwitz_line``: the equal-weight
   multiple sum ``zeta_r(s, a) = sum_{m1..mr>=0} (a + m1 + ... + mr)^(-s)``,
   collapsed exactly through the binomial lattice count to
-  ``sum_{j<r} p_{r,j}(a) zeta_H(s - j, a)`` with the reduction coefficients
-  from :mod:`zetaline.combinatorics`.  This form inherits the full analytic
+  ``sum_{j<r} p_{r,j}(a) zeta_H(s - j, a)``: unit weights are the L = 1
+  combination below, whose one polynomial `reduction_coefficients` shifts
+  exactly and rounds once.  This form inherits the full analytic
   continuation of the Hurwitz zeta (poles at s = 1, ..., r; ``_check_pole`` is
   the one rank-r guard, shared with the truncated line).  Only nonzero terms are
   evaluated (p_{r,0}(1) = 0 for r >= 2).  The scalar is the Q = 1 case of
@@ -22,7 +23,8 @@ Two families are implemented.
       zeta_r(s, a; w) = (qL)^(-s) sum_rho sum_i e_{rho,i} zeta_H(s - i, b_rho),
       b_rho = (a/q + rho) / L,
 
-  with exact e_{rho,i} from r counts per residue (`_denumerant_terms`), and
+  with exact e_{rho,i} from r counts per residue (`_denumerant_terms`, on
+  the generator of :mod:`zetaline.combinatorics`), and
   `_hurwitz_combination` evaluates it, one kernel call of at most L r
   (sigma, shift) rows (s - i, b_rho).
   Its err is absolute, as every err of the package (`zetacore._sum_err`;
@@ -57,12 +59,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .combinatorics import MAX_RANK, reduction_coefficients
+from .combinatorics import MAX_RANK, _box_convolve, _denumerant, _shift, reduction_coefficients
 from .errors import (
     DomainError,
     PoleError,
@@ -296,52 +297,6 @@ def _atoms(st: _DirectState, level: int, y: float, cap: int) -> int:
 # ---------------------------------------------------------------------------
 # commensurate weights: the denumerant as a Hurwitz combination
 
-_denumerant_cache: Dict[Tuple[int, ...], list] = {}
-
-
-def _fit(ys: Sequence[int]) -> list:
-    """Exact coefficients, in powers of u, of the polynomial through (u, ys[u])
-    for u = 0..len(ys)-1: Newton's forward differences times binomial(u, k)."""
-    coefs = [Fraction(0)] * len(ys)
-    basis = [Fraction(1)]  # binomial(u, k) in powers of u
-    diffs = list(ys)
-    for k in range(len(ys)):
-        for i, c in enumerate(basis):
-            coefs[i] += diffs[0] * c
-        diffs = [y1 - y0 for y0, y1 in zip(diffs, diffs[1:])]
-        basis = [(lo - k * hi) / (k + 1) for lo, hi in zip([0] + basis, basis + [0])]
-    return coefs
-
-
-def _shift(coefs: Sequence[Fraction], b: Fraction) -> list:
-    """The same polynomial in powers of x = u + b, by Horner's rule in x - b."""
-    acc: list = []
-    for c in reversed(coefs):
-        acc = [lo - b * hi for lo, hi in zip([0] + acc, acc + [0])]
-        acc[0] += c
-    return acc
-
-
-def _denumerant(n: Tuple[int, ...]) -> list:
-    """d(L u + rho) as exact polynomials in u, one per residue rho mod L = lcm(n).
-
-    d(k) counts the m >= 0 with n.m = k.  It is a quasi-polynomial of degree
-    r - 1 and period L for every k >= 0 (Beck & Robins, Computing the
-    Continuous Discretely, ch. 1), so the r counts d(L u + rho), u < r, that
-    `_box_convolve` gives fix each residue's polynomial.  Built on first use
-    and cached per n; the counts are Python ints, so none overflows.
-    """
-    if n not in _denumerant_cache:
-        L = math.lcm(*n)
-        size = L * len(n)
-        d = np.zeros(size, dtype=object)
-        d[0] = 1
-        for nj in n:
-            d = _box_convolve(d, nj, (size - 1) // nj + 1)[:size]
-        _denumerant_cache[n] = [_fit(list(d[rho::L])) for rho in range(L)]
-    return _denumerant_cache[n]
-
-
 def _denumerant_terms(a: float, q: float, n: Tuple[int, ...]):
     """(Q, groups) with zeta_r(s, a; q n) = Q^(-s) sum_rho sum_i e_{rho,i}
     zeta_H(s - i, b_rho): Q = q L, b_rho = (a/q + rho) / L, and the nonzero
@@ -351,8 +306,7 @@ def _denumerant_terms(a: float, q: float, n: Tuple[int, ...]):
     groups = []
     for rho, poly in enumerate(_denumerant(n)):
         b = (a / q + rho) / L
-        coefs = [float(c) for c in _shift(poly, Fraction(b))]
-        groups.append((b, [(i, c) for i, c in enumerate(coefs) if c != 0.0]))
+        groups.append((b, [(i, c) for i, c in enumerate(_shift(poly, b)) if c != 0.0]))
     return q * L, groups
 
 
@@ -453,22 +407,6 @@ def _commensurate(w: Sequence[float]) -> Tuple[float, Tuple[int, ...]]:
     nums = [p * (den // d) for p, d in ratios]
     g = math.gcd(*nums)
     return g / den, tuple(v // g for v in nums)
-
-
-def _box_convolve(d: np.ndarray, n: int, k: int) -> np.ndarray:
-    """d convolved with the indicator of {0, n, ..., (k-1) n}, exact in d's integer dtype.
-
-    A running sum of width k along each residue class mod n: O(len) instead
-    of np.convolve's O(len * k).
-    """
-    if k == 1:
-        return d  # a one-point box; padding to a multiple of n could be huge
-    size = d.size + n * (k - 1)
-    e = np.zeros(-(-size // n) * n, dtype=d.dtype)
-    e[: d.size] = d
-    c = np.cumsum(e.reshape(-1, n), axis=0)
-    c[k:] -= c[:-k]
-    return c.ravel()[:size]
 
 
 def _compress(values: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -107,6 +107,32 @@ def test_multi_rank_outside_one_to_sixteen_is_a_domain_error(r):
         bz.multi_hurwitz_line(20.5, 0.5, r, np.linspace(1.0, 2.0, 3))
 
 
+@pytest.mark.parametrize("a", [math.nan, math.inf])
+def test_multi_non_finite_a_is_a_domain_error(a):
+    with pytest.raises(DomainError):
+        bz.multi_hurwitz_bounded(complex(3.5, 1.0), a, 2)
+    with pytest.raises(DomainError):
+        bz.multi_hurwitz_line(3.5, a, 2, np.linspace(1.0, 2.0, 3))
+
+
+@pytest.mark.parametrize("s", [8.5 + 3j, 7.5 + 40j])
+def test_multi_at_rank_eight_is_within_its_err_of_mpmath(s):
+    # the reduction coefficients cancel at r = 8, a = 5.29; each is the exact
+    # table rounded once, so the value stays within its err
+    mpmath = pytest.importorskip("mpmath")
+    r, a = 8, 5.29
+    got, err = bz.multi_hurwitz_bounded(s, a, r)
+    with mpmath.workdps(40):
+        poly = [mpmath.mpf(1)]  # prod_{i<r} (x - a + i) in powers of x
+        for i in range(1, r):
+            c = i - mpmath.mpf(a)
+            poly = [lo + c * hi for lo, hi in zip([0] + poly, poly + [0])]
+        z = mpmath.mpc(s.real, s.imag)
+        ref = complex(mpmath.fsum(pj * mpmath.zeta(z - j, mpmath.mpf(a))
+                                  for j, pj in enumerate(poly)) / mpmath.factorial(r - 1))
+    assert abs(got - ref) <= err
+
+
 # ---------------------------------------------------------------------------
 # barnes_direct
 

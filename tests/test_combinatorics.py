@@ -1,4 +1,4 @@
-"""Tests for Stirling numbers, Bernoulli numbers and reduction coefficients."""
+"""Tests for Bernoulli numbers and reduction coefficients."""
 
 from __future__ import annotations
 
@@ -13,52 +13,8 @@ from zetaline.combinatorics import (
     CoefficientTable,
     bernoulli,
     reduction_coefficients,
-    stirling_first,
-    stirling_row,
 )
 from zetaline.errors import DomainError
-
-
-def perm_cycle_counts(n):
-    """Brute-force: number of permutations of n elements with k cycles."""
-    import itertools
-
-    counts = [0] * (n + 1)
-    for perm in itertools.permutations(range(n)):
-        seen = [False] * n
-        cycles = 0
-        for start in range(n):
-            if seen[start]:
-                continue
-            cycles += 1
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-        counts[cycles] += 1
-    return counts
-
-
-def test_stirling_row_small_values():
-    assert stirling_row(0) == (1,)
-    assert stirling_row(1) == (0, 1)
-    assert stirling_row(4) == (0, -6, 11, -6, 1)
-    assert stirling_first(6, 3) == -225
-
-
-def test_stirling_signs_and_magnitudes_match_cycle_counts():
-    # |s(n,k)| counts permutations with k cycles; sign is (-1)^(n-k)
-    for n in range(1, 7):
-        brute = perm_cycle_counts(n)
-        for k in range(n + 1):
-            assert stirling_first(n, k) == (-1) ** (n - k) * brute[k]
-
-
-def test_stirling_domain():
-    with pytest.raises(DomainError):
-        stirling_first(3, 5)
-    with pytest.raises(DomainError):
-        stirling_first(-1, 0)
 
 
 def test_bernoulli_values():
@@ -111,11 +67,27 @@ def test_reduction_identity_float_mode():
         assert abs(table.identity_residual(n)) <= 1e-9 * math.comb(n + 3, 3)
 
 
+@pytest.mark.parametrize("a", [0.01, 0.3, 5.29, 37.7, 99.7])
+def test_float_tables_are_the_exact_table_rounded_once(a):
+    # one generator: a float a gives the exact table at Fraction(a), each
+    # coefficient rounded once, for every rank
+    for r in range(1, 17):
+        exact = reduction_coefficients(r, Fraction(a)).coeffs
+        assert reduction_coefficients(r, a).coeffs == tuple(float(c) for c in exact)
+
+
 def test_reduction_domain():
     with pytest.raises(DomainError):
         reduction_coefficients(0, 0.5)
     with pytest.raises(DomainError):
         reduction_coefficients(17, 0.5)
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf])
+def test_reduction_needs_a_finite_a(a):
+    # the exact shift takes a's integer ratio, which a non-finite a lacks
+    with pytest.raises(DomainError):
+        reduction_coefficients(3, a)
 
 
 @settings(max_examples=40, deadline=None)
@@ -129,16 +101,3 @@ def test_reduction_identity_property(r, num, den, n):
     a = Fraction(num, den)
     table = reduction_coefficients(r, a)
     assert table.identity_residual(n) == 0
-
-
-@settings(max_examples=30, deadline=None)
-@given(n=st.integers(min_value=0, max_value=40))
-def test_stirling_row_sums(n):
-    # sum_k s(n,k) x^(k) telescopes: at x=1 the falling factorial
-    # 1*0*(-1)*... vanishes for n >= 2
-    row = stirling_row(n)
-    total = sum(row)
-    if n == 0 or n == 1:
-        assert total == 1
-    else:
-        assert total == 0
