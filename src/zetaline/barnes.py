@@ -14,31 +14,32 @@ Two families are implemented.
   `_hurwitz_combination`, each term gated like ``hurwitz_zeta_bounded``.
 
 * ``barnes_direct`` / ``barnes_truncated_line``: general positive weights ``w``.
-  The direct evaluator needs ``Re s > r + 0.1`` and has two paths.  One
-  count, taken before any value, picks the cheaper path and enforces the
-  budget of Hurwitz values (the rule stated in it).  Commensurate weights
-  ``w = q n`` (integer n, ``L = lcm(n)``) are one Hurwitz combination: the
-  lattice count d(k) of level k = n.m is a quasi-polynomial of period L, so
+  The direct evaluator needs ``Re s > r + 0.1``.  Two generators of Hurwitz
+  combination rows feed one evaluator, `_hurwitz_combination`, one kernel
+  call whose err is the `_sum_err` of all its atoms (absolute, as every err
+  of the package; not yet a certified bound).  One count, taken before any
+  value, picks the cheaper generator and enforces the budget of Hurwitz
+  values (the rule stated in it).  Commensurate weights ``w = q n``
+  (integer n, ``L = lcm(n)``): the lattice count d(k) of level k = n.m is a
+  quasi-polynomial of period L, so
 
       zeta_r(s, a; w) = (qL)^(-s) sum_rho sum_i e_{rho,i} zeta_H(s - i, b_rho),
       b_rho = (a/q + rho) / L,
 
   with exact e_{rho,i} from r counts per residue (`_denumerant_terms`, on
-  the generator of :mod:`zetaline.combinatorics`), and
-  `_hurwitz_combination` evaluates it, one kernel call of at most L r
-  (sigma, shift) rows (s - i, b_rho).
-  Its err is absolute, as every err of the package (`zetacore._sum_err`;
-  not yet a certified bound).  The other path, for weights such as (1, sqrt 2) whose
+  the generator of :mod:`zetaline.combinatorics`), at most L r rows.  The
+  recursion (`_recursion_terms`), for weights such as (1, sqrt 2) whose
   combination costs more, collapses the lattice one coordinate at a time,
   ``F_j(y) = sum_{m>=0} F_(j-1)(y + m w_j)`` from ``F_0(y) = y^(-s)``: the
   points below the threshold ``y_req`` form an explicit window whose
-  ``F_(j-1)`` values recurse, and the rest is a tail of exact Hurwitz
-  values, one per term of the asymptotic expansion
-  ``F_(j-1)(y) ~ sum_c coef_c y^(-(s+c))``, composed through Euler-Maclaurin
-  from the unit series.  Level 1 is its tail alone.  The truncated evaluator
-  sums the finite box ``{0..floor(x)}^r`` (through a compressed
-  ``LatticeProfile``, whose counts are an integer convolution for
-  commensurate weights) and adds the alternating boundary corrections
+  ``F_(j-1)`` values recurse, and the rest is a tail, one row per term of
+  the asymptotic expansion ``F_(j-1)(y) ~ sum_c coef_c y^(-(s+c))``,
+  composed through Euler-Maclaurin from the unit series.  Level 1 is its
+  tail alone.  Its err adds a bound on the expansion's truncation that
+  needs no value (`_truncation_err`).  The truncated evaluator sums the
+  finite box ``{0..floor(x)}^r`` (through a compressed ``LatticeProfile``,
+  whose counts are an integer convolution for commensurate weights) and
+  adds the alternating boundary corrections
 
       - sum_{E nonempty} (-1)^(#E) (a + x*sum_{e in E} w_e)^(r-s)
         / ((s-1)...(s-r) w_1...w_r),
@@ -57,6 +58,7 @@ Two families are implemented.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
@@ -79,7 +81,6 @@ from .zetacore import (
     _check_hurwitz_domain,
     _gate,
     _hurwitz_rows,
-    _hurwitz_scalar,
     _ordinate_top,
     _phase_sum,
     _sum_err,
@@ -134,7 +135,7 @@ def _reduction_terms(r: int, a: float) -> list[Tuple[int, float]]:
     return [(j, cf) for j, cf in enumerate(coefs) if cf != 0.0]
 
 
-def _combine(terms: Sequence[Tuple[int, float]], rows) -> np.ndarray:
+def _combine(terms: Sequence[Tuple[int, complex]], rows) -> np.ndarray:
     """sum_j c_j rows[j], one row per term (the top term never vanishes)."""
     parts = [cf * row for (_, cf), row in zip(terms, rows)]
     return sum(parts[1:], parts[0])
@@ -144,12 +145,13 @@ def _hurwitz_combination(
     name: str,
     s: complex,
     Q: float,
-    groups: Sequence[Tuple[float, Sequence[Tuple[int, float]]]],
+    groups: Sequence[Tuple[float, Sequence[Tuple[int, complex]]]],
     prec: Precision,
 ) -> Tuple[complex, float]:
     """Q^(-s) sum over groups (b, terms) of sum_j c_j zeta_H(s - j, b), with its err.
 
-    The one scalar evaluator of Hurwitz combinations: every term is a
+    The one scalar evaluator of Hurwitz combinations, real or complex c_j
+    (the recursion's, whose j reach -_EXP_CAP): every term is a
     (sigma - j, b) row of one `_hurwitz_rows` call (rows with one b share
     their phase sums, rows with one j their Bernoulli pass), gated once under
     name like `hurwitz_zeta_bounded`, then combined group by group.  err is
@@ -241,57 +243,50 @@ def _compose_expansion(
     return out
 
 
-@dataclass
-class _DirectState:
-    s: complex
-    w: Tuple[float, ...]
-    y_req: float
-    expansions: list  # expansions[j] = series of F_j; F_0(y) = y^(-s)
-    err: float = 0.0
+def _recursion_terms(s: complex, a: float, w: Tuple[float, ...]):
+    """The groups (b, terms) of zeta_r(s, a; w) in `_hurwitz_combination`'s
+    form (Q = 1) by the composed Euler-Maclaurin collapse, yielded depth first.
+
+    F_j(y) = sum_{m>=0} F_(j-1)(y + m w_j) from F_0(y) = y^(-s): the points
+    of F_j(y) below y_req (none at level 1) recurse, and the rest, from the
+    first point y' at or above it, is a tail, the group
+    (y' / w_j, [(-c, coef_c w_j^(-(s+c)))]) of the asymptotic series
+    sum_c coef_c y^(-(s+c)) of F_(j-1).  The tails of a level share its terms.
+    """
+    y_req = 0.75 * (abs(s.imag) + abs(s.real) + 2 * _EXP_CAP + 4.0) * max(w)
+    series = [{0: 1.0}]  # series[j] is that of F_j
+    for wj in w[:-1]:
+        series.append(_compose_expansion(series[-1], s, wj))
+    level_terms = [
+        [(-c, coef * cmath.exp(-(s + c) * math.log(wj))) for c, coef in sorted(ser.items())]
+        for wj, ser in zip(w, series)
+    ]
+
+    def walk(level: int, y: float):
+        wj = w[level - 1]
+        k_cut = 0 if level == 1 else max(0, int(math.ceil((y_req - y) / wj)))
+        for m in range(k_cut):
+            if level == 2:  # a level-1 point is its own tail, yielded without a generator
+                yield (y + m * wj) / w[0], level_terms[0]
+            else:
+                yield from walk(level - 1, y + m * wj)
+        yield (y + k_cut * wj) / wj, level_terms[level - 1]
+
+    return walk(len(w), a)
 
 
-def _tail_power_sums(st: _DirectState, level: int, base_y: float, wj: float) -> complex:
-    """sum_{m>=0} F_level(base_y + m wj) via exact Hurwitz power sums."""
-    s, logw = st.s, math.log(wj)
-    terms, top = [], 0.0
-    for c, coef in sorted(st.expansions[level].items()):
-        hv, _, he = _hurwitz_scalar(s + c, base_y / wj, DEFAULT_PRECISION)
-        terms.append((coef * cmath.exp(-(s + c) * logw), hv, he))
-        if c >= _EXP_CAP - 1:
-            top = max(top, abs(terms[-1][0] * hv))
-    total, err = _sum_err(terms)
-    st.err += err + 2.0 * top
-    return total
-
-
-def _window(st: _DirectState, level: int, y: float) -> int:
-    """How many points y + m w_level of F_level(y) lie below y_req (none at level 1)."""
-    if level == 1:
-        return 0
-    return max(0, int(math.ceil((st.y_req - y) / st.w[level - 1])))
-
-
-def _F(st: _DirectState, level: int, y: float) -> complex:
-    """F_level(y): the window below y_req recursed, then the exact tail."""
-    wj = st.w[level - 1]
-    k_cut = _window(st, level, y)
-    total = 0.0 + 0.0j
-    for m in range(k_cut):
-        total += _F(st, level - 1, y + m * wj)
-    total += _tail_power_sums(st, level - 1, y + k_cut * wj, wj)
-    return total
-
-
-def _atoms(st: _DirectState, level: int, y: float, cap: int) -> int:
-    """The Hurwitz values `_F(st, level, y)` evaluates, counted without
-    evaluating any, and counted only until they pass cap."""
-    wj = st.w[level - 1]
-    count = len(st.expansions[level - 1])
-    for m in range(_window(st, level, y)):
-        if count > cap:
-            break
-        count += _atoms(st, level - 1, y + m * wj, cap - count)
-    return count
+def _truncation_err(s: complex, groups) -> float:
+    """Twice the last kept orders (c >= _EXP_CAP - 1) of each tail, bounded
+    without their values by |zeta_H(x + it, b)| <= b^(-x) + b^(1-x) / (x - 1)."""
+    err = 0.0
+    for b, terms in groups:
+        top = 0.0
+        for j, cf in terms:
+            if -j >= _EXP_CAP - 1:
+                x = s.real - j
+                top = max(top, abs(cf) * (b ** -x + b ** (1.0 - x) / (x - 1.0)))
+        err += 2.0 * top
+    return err
 
 
 # ---------------------------------------------------------------------------
@@ -314,23 +309,23 @@ def barnes_direct(s: complex, a: float, w: Sequence[float]) -> Tuple[complex, fl
     """Barnes zeta zeta_r(s, a, w) for Re s > r + 0.1, with an absolute error
     estimate (not yet a certified bound: ROADMAP item 3).
 
-    Two paths, chosen by cost from counts known before any evaluation:
+    Two generators of Hurwitz-combination groups, and one evaluator:
+    `_hurwitz_combination`, one kernel call whose err is the `_sum_err` of
+    all its atoms (rows).
 
     * combination: commensurate weights w = q n are the Hurwitz combination
-      of `_denumerant_terms`, L = lcm(n) residues of at most r rows each,
-      evaluated by `_hurwitz_combination` in one kernel call, whose err is
-      the `_sum_err` of its terms.
-    * recursion: the composed Euler-Maclaurin collapse (`_F`), one Hurwitz
-      value per atom.  Its err adds the `_sum_err` of every tail of atoms
-      and twice the magnitude of the last kept expansion order at each use
-      site; the window sums' rounding is not counted.
+      of `_denumerant_terms`, L = lcm(n) residues of at most r rows each.
+    * recursion: the composed Euler-Maclaurin collapse (`_recursion_terms`),
+      one group per tail.  Its err adds `_truncation_err`, twice the last
+      kept expansion orders of every tail, bounded without their values.
 
     Rule: one count, taken before any value, picks the path and enforces the
-    budget: the recursion's atoms (`_atoms`), counted until they pass
+    budget: a walk of `_recursion_terms` counts its rows until they pass
     min(L r, _ATOM_BUDGET).  The combination is taken when its L r rows are
-    within the budget and fewer than the atoms; when L r is over the budget
-    and the atoms pass it too, ResourceBudgetError is raised.  Either path
-    thus evaluates at most _ATOM_BUDGET Hurwitz values.
+    within the budget and fewer than the recursion's; when L r is over the
+    budget and the recursion's rows pass it too, ResourceBudgetError is
+    raised.  Only a count that holds is followed by a second walk, which
+    collects the groups.  Either path evaluates at most _ATOM_BUDGET values.
     So (1, 2) takes the combination, while (1, 37) at small |t|, rank one
     (one row against one atom) and weights such as (1, sqrt 2), whose n_j
     are near 2^52, take the recursion.
@@ -347,24 +342,20 @@ def barnes_direct(s: complex, a: float, w: Sequence[float]) -> Tuple[complex, fl
             f"barnes_direct needs Re s > r + 0.1 = {r + 0.1}; "
             "use barnes_truncated for smaller real parts"
         )
-    wmax = max(w)
-    y_req = 0.75 * (abs(s.imag) + abs(s.real) + 2 * _EXP_CAP + 4.0) * wmax
-    expansions = [{0: 1.0}]
-    for wj in w[:-1]:
-        expansions.append(_compose_expansion(expansions[-1], s, wj))
-    st = _DirectState(s=s, w=w, y_req=y_req, expansions=expansions)
     q, n = _commensurate(w)
     rows = math.lcm(*n) * r
     cap = min(rows, _ATOM_BUDGET)
-    if _atoms(st, r, a, cap) > cap:
+    counts = itertools.accumulate(len(terms) for _, terms in _recursion_terms(s, a, w))
+    if any(count > cap for count in counts):
         if rows > _ATOM_BUDGET:
             raise ResourceBudgetError(
                 f"barnes_direct needs more than its budget of {_ATOM_BUDGET} Hurwitz values"
             )
         Q, groups = _denumerant_terms(a, q, n)
         return _hurwitz_combination("barnes_direct", s, Q, groups, DEFAULT_PRECISION)
-    val = _F(st, r, a)
-    return val, st.err
+    groups = list(_recursion_terms(s, a, w))
+    val, err = _hurwitz_combination("barnes_direct", s, 1.0, groups, DEFAULT_PRECISION)
+    return val, err + _truncation_err(s, groups)
 
 
 # ---------------------------------------------------------------------------

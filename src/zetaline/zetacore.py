@@ -732,6 +732,7 @@ def lerch_line(
             "line evaluation of the twisted series needs rational lam "
             "(pass a Fraction)"
         )
+    ts = np.asarray(ts, dtype=float)
     total = np.zeros(ts.size, dtype=complex)
     for root, shifted in _twist_terms(a, fr):
         total += root * hurwitz_line(sigma, shifted, ts, prec)

@@ -219,8 +219,10 @@ def test_direct_far_from_the_origin_matches_closed_form(s, a):
         (2.15 + 10j, 1.0, (1.0, 2.0), 1.1649351194082458 - 0.0033290075015521836j),
         (5 - 7j, 0.3, (1.0, 2.0), -223.44141317728196 - 345.35958889284734j),
         (2.5 + 40j, 1.0, (1.0, math.sqrt(2.0)), 0.8083360268598899 + 0.033923383950875095j),
-        (3.15 + 2j, 0.9, (0.5, 1.0, 1.7), 1.3142756421189208 - 0.2788744639546155j),
-        (6 + 25j, 1.5, (0.5, 1.0, 1.7), -0.0719911960846282 + 0.07820961783981299j),
+        # rank 3: the recursion's rows are summed in one flat order, within err
+        # of the nested level-by-level sums (8.5e-16 and 6.6e-16 away)
+        (3.15 + 2j, 0.9, (0.5, 1.0, 1.7), 1.3142756421189203 - 0.2788744639546148j),
+        (6 + 25j, 1.5, (0.5, 1.0, 1.7), -0.07199119608462777 + 0.07820961783981249j),
         # more commensurate weights, each one Hurwitz combination over L residues
         (2.6 + 7j, 1.0, (2.0, 3.0), 0.9945789429034703 - 0.04443843107974717j),
         (4 - 3j, 0.3, (2.0, 3.0), -110.08683281889037 + 55.96130713641033j),
@@ -284,6 +286,33 @@ def test_combination_err_counts_the_rounding_of_its_sum(s, a):
     assert abs(got - ref) <= err
 
 
+# (1, 29) takes the combination at these points, where the recursion's
+# window needs more than its L r = 58 rows
+_COMBINATION_AT_29 = {(0.3, 2.5 + 10j), (0.3, 4 - 20j), (1.0, 2.5 + 10j), (1.0, 4 - 20j),
+                      (100.0, 4 - 20j)}
+
+
+@pytest.mark.parametrize(
+    "n, a, s",
+    [(n, a, complex(s)) for n in ((1, 37), (1, 29)) for a in (0.3, 1.0, 100.0, 1000.0)
+     for s in (2.15, 2.5 + 10j, 3.5 + 5j, 4 - 20j, 5 + 2j)
+     if n == (1, 37) or (a, s) not in _COMBINATION_AT_29],
+)
+def test_recursion_err_counts_the_rounding_of_its_sum(monkeypatch, n, a, s):
+    # commensurate weights whose recursion is cheaper, so an exact reference
+    # exists; the err of every atom's sum, window and tails, must cover it
+    mpmath = pytest.importorskip("mpmath")
+    combined = []
+    denumerant = bz._denumerant_terms
+    monkeypatch.setattr(bz, "_denumerant_terms",
+                        lambda *args: combined.append(args) or denumerant(*args))
+    got, err = bz.barnes_direct(s, a, tuple(map(float, n)))
+    assert combined == []
+    with mpmath.workdps(40):
+        ref, _ = mpmath_commensurate(s, a, 1.0, n)
+    assert abs(got - ref) <= err
+
+
 @pytest.mark.parametrize("s", [0.5 + 14.134725j, 0.5 + 14.134725141734693j])
 def test_rank_one_err_covers_the_error_near_a_zero(s):
     # |value| is 1e-7 and 2e-15 here, far below the Euler-Maclaurin scale
@@ -336,22 +365,29 @@ def test_denumerant_polynomials_reproduce_the_counts(n):
     ],
 )
 def test_direct_takes_the_cheaper_path(monkeypatch, w, s, combination):
-    taken = []
-    combination_, recursion = bz._hurwitz_combination, bz._F
+    # the path is the generator whose groups reach the one evaluator
+    made, fed = {"combination": [], "recursion": []}, []
+    denumerant, recursion, evaluate = (bz._denumerant_terms, bz._recursion_terms,
+                                       bz._hurwitz_combination)
 
-    def spy_combination(*args, **kwargs):
-        taken.append("combination")
-        return combination_(*args, **kwargs)
+    def spy_denumerant(*args):
+        Q, groups = denumerant(*args)
+        made["combination"].append(groups)
+        return Q, groups
 
-    def spy_recursion(st, level, y):
-        taken.append("recursion")
-        return recursion(st, level, y)
+    def spy_recursion(*args):
+        made["recursion"].append([])
+        for group in recursion(*args):
+            made["recursion"][-1].append(group)
+            yield group
 
-    monkeypatch.setattr(bz, "_hurwitz_combination", spy_combination)
-    monkeypatch.setattr(bz, "_F", spy_recursion)
+    monkeypatch.setattr(bz, "_denumerant_terms", spy_denumerant)
+    monkeypatch.setattr(bz, "_recursion_terms", spy_recursion)
+    monkeypatch.setattr(bz, "_hurwitz_combination",
+                        lambda *args: fed.append(args[3]) or evaluate(*args))
     bz.barnes_direct(s, 1.0, w)
-    assert taken[0] == ("combination" if combination else "recursion")
-    assert ("combination" in taken) == combination
+    taken = [path for path, outputs in made.items() if fed[0] in outputs]
+    assert len(fed) == 1 and taken == ["combination" if combination else "recursion"]
 
 
 def test_a_commensurate_value_is_one_kernel_call(monkeypatch):
@@ -370,40 +406,33 @@ def test_a_commensurate_value_is_one_kernel_call(monkeypatch):
      ((0.5, 1.0, 1.7), 3.15 + 2j)],
 )
 def test_atoms_count_the_hurwitz_values_of_the_recursion(monkeypatch, w, s):
-    # the budget is checked on the count alone, so the count must be exact
-    counted, evaluated = [], []
-    atoms, scalar = bz._atoms, bz._hurwitz_scalar
+    # the budget is checked on the count alone, so the count must be the rows
+    # that the one kernel call then evaluates
+    walks, calls = [], []
+    recursion, rows = bz._recursion_terms, bz._hurwitz_rows
 
-    def spy_atoms(st, level, y, cap):
-        n = atoms(st, level, y, cap)
-        if level == len(w):
-            counted.append(n)
-        return n
+    def spy_recursion(*args):
+        walks.append(0)
+        for group in recursion(*args):
+            walks[-1] += len(group[1])
+            yield group
 
-    def spy_scalar(*args):
-        evaluated.append(args)
-        return scalar(*args)
-
-    monkeypatch.setattr(bz, "_atoms", spy_atoms)
-    monkeypatch.setattr(bz, "_hurwitz_scalar", spy_scalar)
+    monkeypatch.setattr(bz, "_recursion_terms", spy_recursion)
+    monkeypatch.setattr(bz, "_hurwitz_rows",
+                        lambda *args: calls.append(len(args[0])) or rows(*args))
     bz.barnes_direct(s, 0.9, w)
-    assert len(counted) == 1 and counted[0] == len(evaluated) > 0
+    assert len(calls) == 1 and walks == [calls[0], calls[0]] and calls[0] > 0
 
 
 def test_direct_over_budget_raises_before_any_value(monkeypatch):
     evaluated = []
-    scalar, rows = bz._hurwitz_scalar, bz._hurwitz_rows
-
-    def spy_scalar(*args):
-        evaluated.append("scalar")
-        return scalar(*args)
+    rows = bz._hurwitz_rows
 
     def spy_rows(*args):
         evaluated.append("rows")
         return rows(*args)
 
     monkeypatch.setattr(bz, "_ATOM_BUDGET", 1000)
-    monkeypatch.setattr(bz, "_hurwitz_scalar", spy_scalar)
     monkeypatch.setattr(bz, "_hurwitz_rows", spy_rows)
     with pytest.raises(ResourceBudgetError):
         bz.barnes_direct(3.5 + 10j, 1.0, (1.0, math.sqrt(2.0), math.sqrt(3.0)))

@@ -4,16 +4,19 @@ oscillatory boundedness, and the artifact format they share."""
 import json
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import zetaline.verify
 from zetaline.barnes import barnes_truncated_line
+from zetaline.combinatorics import CoefficientTable
 from zetaline.errors import DomainError
 from zetaline.meanvalue import MeanSquareRequest, mean_square_grid
 from zetaline.verify import (
     VerdictRecord,
+    coefficient_identity_suite,
     comparability,
     envelope_hurwitz,
     envelope_multi,
@@ -391,6 +394,39 @@ def test_oscillatory_domain_guards():
 def test_run_suites_rejects_unknown_name():
     with pytest.raises(DomainError):
         run_suites("envelope")
+
+
+# ---------------------------------------------------------------------------
+# coefficient identity
+
+
+def _float_product_table(r, a):
+    """C(x - a + r - 1, r - 1) expanded in floats, prod_k (x - a + k) / (r - 1)!:
+    close to the exact table, but not each coefficient rounded once."""
+    coefs = [1.0]
+    for k in range(1, r):
+        coefs = [lo + (k - a) * hi for lo, hi in zip([0.0] + coefs, coefs + [0.0])]
+    return CoefficientTable(r=r, a=a, coeffs=tuple(c / math.factorial(r - 1) for c in coefs))
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        lambda right, r, a: right(r, a) if isinstance(a, Fraction) else _float_product_table(r, a),
+        lambda right, r, a: right(r, a + Fraction(1, 10**9) if isinstance(a, Fraction) else a),
+    ],
+    ids=["float_table_not_rounded_once", "exact_table_off_by_1e-9_in_a"],
+)
+def test_coefficient_suite_tells_a_wrong_table(monkeypatch, wrong):
+    # a float evaluation of the identity cancels to 6e-5 at a = 99.7, so the
+    # suite checks the exact table and the float table's rounding instead
+    grid = dict(r_max=8, a_values=(0.3, 5.29, 37.7, 99.7))
+    rec = coefficient_identity_suite(**grid)
+    assert rec.passed and rec.observed_constant <= 2.0**-53
+    right = zetaline.verify.reduction_coefficients
+    monkeypatch.setattr(zetaline.verify, "reduction_coefficients",
+                        lambda r, a: wrong(right, r, a))
+    assert not coefficient_identity_suite(**grid).passed
 
 
 # ---------------------------------------------------------------------------

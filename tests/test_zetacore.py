@@ -170,11 +170,12 @@ def test_a_lerch_value_is_one_kernel_call(monkeypatch):
         lambda ts: zc.hurwitz_line(0.5, 1.0, ts),
         lambda ts: zc.hurwitz_line_batch([0.5, 1.5], 1.0, ts),
         lambda ts: zc.lerch_line(0.5, 1.0, Fraction(1, 3), ts, zc.DEFAULT_PRECISION),
+        lambda ts: zc.lerch_line(0.5, 1.0, Fraction(1, 3), ts.tolist(), zc.DEFAULT_PRECISION),
         lambda ts: multi_hurwitz_line(1.5, 1.0, 2, ts),
         lambda ts: barnes_truncated_line(1.5, 1.0, (1.0, 2.0), ts),
     ],
-    ids=["hurwitz_line", "hurwitz_line_batch", "lerch_line", "multi_hurwitz_line",
-         "barnes_truncated_line"],
+    ids=["hurwitz_line", "hurwitz_line_batch", "lerch_line", "lerch_line_list",
+         "multi_hurwitz_line", "barnes_truncated_line"],
 )
 def test_non_finite_ordinates_are_domain_errors(line, bad):
     with pytest.raises(DomainError, match="ordinates ts"):
