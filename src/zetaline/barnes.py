@@ -1,6 +1,8 @@
 """Barnes multiple zeta functions and their truncated representations.
 
-Two families are implemented.
+Every scalar value here that reduces to Hurwitz values is built as groups
+for the one evaluator of the package, `zetacore._hurwitz_combination`, which
+Hurwitz, Lerch and periodic values share.  Two families are implemented.
 
 * ``multi_hurwitz_bounded`` / ``multi_hurwitz_line``: the equal-weight
   multiple sum ``zeta_r(s, a) = sum_{m1..mr>=0} (a + m1 + ... + mr)^(-s)``,
@@ -15,11 +17,11 @@ Two families are implemented.
 
 * ``barnes_direct`` / ``barnes_truncated_line``: general positive weights ``w``.
   The direct evaluator needs ``Re s > r + 0.1``.  Two generators of Hurwitz
-  combination rows feed one evaluator, `_hurwitz_combination`, one kernel
-  call whose err is the `_sum_err` of all its atoms (absolute, as every err
-  of the package; not yet a certified bound).  One count, taken before any
-  value, picks the cheaper generator and enforces the budget of Hurwitz
-  values (the rule stated in it).  Commensurate weights ``w = q n``
+  combination rows feed the one evaluator, `_hurwitz_combination`, whose err
+  sums those of all its atoms (absolute, as every err of the package; not
+  yet a certified bound).  One count, taken before any value, picks the
+  cheaper generator and enforces the budget of Hurwitz values (the rule
+  stated in it).  Commensurate weights ``w = q n``
   (integer n, ``L = lcm(n)``): the lattice count d(k) of level k = n.m is a
   quasi-polynomial of period L, so
 
@@ -79,11 +81,9 @@ from .zetacore import (
     Precision,
     _POLE_GUARD,
     _check_hurwitz_domain,
-    _gate,
-    _hurwitz_rows,
+    _hurwitz_combination,
     _ordinate_top,
     _phase_sum,
-    _sum_err,
     hurwitz_line_batch,
 )
 
@@ -139,36 +139,6 @@ def _combine(terms: Sequence[Tuple[int, complex]], rows) -> np.ndarray:
     """sum_j c_j rows[j], one row per term (the top term never vanishes)."""
     parts = [cf * row for (_, cf), row in zip(terms, rows)]
     return sum(parts[1:], parts[0])
-
-
-def _hurwitz_combination(
-    name: str,
-    s: complex,
-    Q: float,
-    groups: Sequence[Tuple[float, Sequence[Tuple[int, complex]]]],
-    prec: Precision,
-) -> Tuple[complex, float]:
-    """Q^(-s) sum over groups (b, terms) of sum_j c_j zeta_H(s - j, b), with its err.
-
-    The one scalar evaluator of Hurwitz combinations, real or complex c_j
-    (the recursion's, whose j reach -_EXP_CAP): every term is a
-    (sigma - j, b) row of one `_hurwitz_rows` call (rows with one b share
-    their phase sums, rows with one j their Bernoulli pass), gated once under
-    name like `hurwitz_zeta_bounded`, then combined group by group.  err is
-    the absolute `_sum_err` of the terms c_j v_j, scaled by |Q^(-s)|.
-    """
-    rows = [(s.real - j, b) for b, terms in groups for j, _ in terms]
-    vals, errs = _hurwitz_rows(rows, np.array([s.imag]), prec)
-    _gate(name, errs[:, 0], prec)
-    coefs = [cf for _, terms in groups for _, cf in terms]
-    cvs = list(zip(coefs, vals[:, 0].tolist(), errs[:, 1].tolist()))
-    parts, lo = [], 0
-    for _, terms in groups:
-        parts.append(complex(_combine(terms, vals[lo : lo + len(terms)])[0]))
-        lo += len(terms)
-    total = sum(parts[1:], parts[0])
-    factor = cmath.exp(-s * math.log(Q))  # not applied at Q = 1: it could flip a zero's sign
-    return (total if Q == 1.0 else factor * total), _sum_err(cvs, abs(factor))[1]
 
 
 def multi_hurwitz_bounded(
@@ -309,9 +279,8 @@ def barnes_direct(s: complex, a: float, w: Sequence[float]) -> Tuple[complex, fl
     """Barnes zeta zeta_r(s, a, w) for Re s > r + 0.1, with an absolute error
     estimate (not yet a certified bound: ROADMAP item 3).
 
-    Two generators of Hurwitz-combination groups, and one evaluator:
-    `_hurwitz_combination`, one kernel call whose err is the `_sum_err` of
-    all its atoms (rows).
+    Two generators of Hurwitz-combination groups, and the one evaluator,
+    `_hurwitz_combination`, whose err sums those of all its atoms (rows).
 
     * combination: commensurate weights w = q n are the Hurwitz combination
       of `_denumerant_terms`, L = lcm(n) residues of at most r rows each.
@@ -433,6 +402,7 @@ def build_lattice_profile(
         raise DomainError(f"build_lattice_profile needs 0 < a < inf, got a={a}")
     if not 0.0 <= x < math.inf:
         raise DomainError(f"build_lattice_profile needs 0 <= x < inf, got x={x}")
+    a = float(a)
     k = int(math.floor(x)) + 1
     points = k ** len(w)
     q, n = _commensurate(w)

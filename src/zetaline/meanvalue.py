@@ -38,7 +38,7 @@ from .errors import DomainError
 from .zetacore import (
     DEFAULT_PRECISION,
     Precision,
-    _hurwitz_scalar,
+    _hurwitz_combination,
     gen_euler_constant,
     hurwitz_line,
     hurwitz_line_batch,
@@ -291,7 +291,8 @@ class Prediction:
 
 
 def _hz_real(arg: float, a: float) -> float:
-    return _hurwitz_scalar(complex(arg, 0.0), a, DEFAULT_PRECISION)[0].real
+    return _hurwitz_combination("hurwitz_zeta", complex(arg, 0.0), 1, [(a, [(0, 1.0)])],
+                                DEFAULT_PRECISION)[0].real
 
 
 def _branch_model(

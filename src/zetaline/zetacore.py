@@ -9,8 +9,8 @@ midpoint term ``(N+a)^(-s)/2`` and ``_EM_DEPTH`` Bernoulli corrections
     B(2k)/(2k)! * s(s+1)...(s+2k-2) * (N+a)^(-s-2k+1),
 
 with the remainder estimated by the first omitted correction.  Every err
-returned is absolute, that remainder plus the rounding of the sums
-(``_sum_err``); the gate reads it relative.  The shift count
+returned is absolute, that remainder plus the rounding of the sums; the
+gate reads it relative.  The shift count
 ``N = ceil(shift_count_factor*(|t|+10))`` keeps the correction ratio
 ``(|s+2k| / (2*pi*(N+a)))^2`` far below one over the whole supported region.
 The floor is the rounding of ``t*log(m+a)``, which err omits (ROADMAP item 3):
@@ -26,8 +26,10 @@ summed directly (absolutely convergent region only) with an Abel-summation
 tail bound.  ``_rational_twist`` is the one parser of ``lambda`` (and of the
 periodic zeta's ``x``) and holds the one denominator cap, q <= 1024, for
 values (`lerch_zeta_bounded`) and vertical lines (`lerch_line`) alike;
-``_twist_sum`` is the one q-fold of values (its q rows (s, (j+a)/q) take one
-`_hurwitz_rows` call) and ``_periodic`` the one periodic zeta.
+``_twist_groups`` is the one q-fold and ``_periodic`` the one periodic zeta.
+``_hurwitz_combination`` is the one evaluator of every value that is a sum
+of Hurwitz values: Hurwitz, rational Lerch and periodic values here, rank-r
+and Barnes values in :mod:`zetaline.barnes`; its callers only build groups.
 
 Vertical-line batches (`hurwitz_line`, `hurwitz_line_batch`) share the phase
 sums ``sum_m (m+a)^(-sigma) exp(-i t log(m+a))`` across all requested real
@@ -482,8 +484,8 @@ def _hurwitz_rows(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Rows zeta_H(sigma_i + i t, a_i) for (sigma, shift) pairs, and each
     row's largest err, relative and absolute, as (R, 2) columns: the one path
-    of Hurwitz values and lines, one kernel call for every row of a value (a
-    Lerch q-fold, a Hurwitz combination).
+    of Hurwitz values and lines, one kernel call for the rows of a value up
+    to `_hurwitz_combination`'s chunk.  A shift enters numpy as a float.
     The Euler-Maclaurin kernel and the reflection fallback node by node.  N
     comes from max |t| unless n_terms is given, but without n_terms the nodes
     of sigma <= 0 rows split into octaves of |t| + 10, each with N from its
@@ -492,6 +494,7 @@ def _hurwitz_rows(
     for _, a in rows:
         if not a > 0:
             raise DomainError(f"zeta_H needs a > 0, got a={a}")
+    rows = [(sig, float(a)) for sig, a in rows]
     ts = np.asarray(ts, dtype=float)
     top = _ordinate_top(ts)
     n = n_terms if n_terms is not None else _shift_count(top)
@@ -538,23 +541,47 @@ def _gate(name: str, errs, prec: Precision) -> None:
         )
 
 
-def _sum_err(terms, scale: float = 1.0) -> Tuple[complex, float]:
-    """sum_k c_k v_k over n terms (c_k, v_k, err_k), summed from 0 in Python complex, and the
-    one err of the package, the absolute err of scale times it: err_k being v_k's absolute err,
-    scale (sum_k |c_k| err_k + (n - 1) 2^-52 sum_k |c_k v_k|), the last sum the sum's rounding."""
+# rows per `_hurwitz_rows` call of `_hurwitz_combination`, so a large value
+# holds one chunk's kernel arrays at a time; a row keeps its bits in any chunk
+_COMBINATION_ROWS = 4096
+
+
+def _hurwitz_combination(
+    name: str,
+    s: complex,
+    Q: float,
+    groups: Sequence[Tuple[float, Sequence[Tuple[int, complex]]]],
+    prec: Precision,
+) -> Tuple[complex, float]:
+    """Q^(-s) sum over groups (b, terms) of sum_j c_j zeta_H(s - j, b), with its err.
+
+    The one evaluator of values that reduce to Hurwitz values; its callers
+    only build the groups.  The (sigma - j, b) rows go to `_hurwitz_rows`
+    _COMBINATION_ROWS at a time and are gated once under name.  Each group is
+    summed from 0 in Python complex, then the group sums from 0; Q^(-s) is
+    not applied at Q = 1, where it could flip a zero's sign.  err is the one
+    err of the package, absolute: |Q^(-s)| (sum_k |c_k| err_k + (n - 1) 2^-52
+    sum_k |c_k v_k|) over the n terms, err_k being v_k's absolute err.
+    """
+    rows = [(s.real - j, b) for b, terms in groups for j, _ in terms]
+    ts = np.array([s.imag])
+    chunks = [_hurwitz_rows(rows[lo : lo + _COMBINATION_ROWS], ts, prec)
+              for lo in range(0, len(rows), _COMBINATION_ROWS)]
+    errs = np.concatenate([e for _, e in chunks])
+    _gate(name, errs[:, 0], prec)
+    atoms = zip(np.concatenate([v[:, 0] for v, _ in chunks]).tolist(), errs[:, 1].tolist())
     total, err, size = 0.0 + 0.0j, 0.0, 0.0
-    for c, v, e in terms:
-        x = c * v
-        total += x
-        err += abs(c) * e
-        size += abs(x)
-    return total, scale * (err + (len(terms) - 1) * 2.0**-52 * size)
-
-
-def _hurwitz_scalar(s: complex, a: float, prec: Precision) -> Tuple[complex, float, float]:
-    """One-point row of `_hurwitz_rows`, no public-domain clamps: value, relative, absolute err."""
-    vals, errs = _hurwitz_rows([(s.real, a)], np.array([s.imag]), prec)
-    return complex(vals[0, 0]), float(errs[0, 0]), float(errs[0, 1])
+    for _, terms in groups:
+        part = 0.0 + 0.0j
+        for (_, c), (v, e) in zip(terms, atoms):
+            x = c * v
+            part += x
+            err += abs(c) * e
+            size += abs(x)
+        total += part
+    factor = cmath.exp(-s * math.log(Q))
+    err = abs(factor) * (err + (len(rows) - 1) * 2.0**-52 * size)
+    return (total if Q == 1 else factor * total), err
 
 
 def _hurwitz_reflected(
@@ -596,12 +623,10 @@ def _check_hurwitz_domain(name: str, s: complex, a: float) -> None:
 def hurwitz_zeta_bounded(
     s: complex, a: float, prec: Precision = DEFAULT_PRECISION
 ) -> Tuple[complex, float]:
-    """zeta_H(s, a) with its absolute err, the one-term `_sum_err`."""
+    """zeta_H(s, a) with its absolute err: `_hurwitz_combination`'s group (a, [(0, 1)])."""
     s = complex(s)
     _check_hurwitz_domain("hurwitz_zeta", s, a)
-    val, rel, err = _hurwitz_scalar(s, a, prec)
-    _gate("hurwitz_zeta", rel, prec)
-    return val, _sum_err([(1.0, val, err)])[1]
+    return _hurwitz_combination("hurwitz_zeta", s, 1, [(a, [(0, 1.0)])], prec)
 
 
 def hurwitz_zeta(s: complex, a: float, prec: Precision = DEFAULT_PRECISION) -> complex:
@@ -674,24 +699,13 @@ def _rational_twist(lam: LambdaLike) -> Fraction | None:
     return fr
 
 
-def _twist_terms(a: float, fr: Fraction, first: int = 0):
-    """Pairs (e(j p/q), (j + a)/q), j = first..first+q-1, of the q-fold reduction at p/q."""
+def _twist_groups(a: LambdaLike, fr: Fraction, first: int = 0) -> list:
+    """The q groups ((j + a)/q, [(0, e(j p/q))]), j = first..first+q-1, of the q-fold
+    q^(-s) sum_j e(j p/q) zeta_H(s, (j + a)/q) at p/q, for `_hurwitz_combination` with
+    Q = q: zeta_L(s, a, p/q) at first = 0 and F(p/q, s) at a = 0, first = 1."""
     q, p = fr.denominator, fr.numerator
-    for j in range(first, first + q):
-        yield cmath.exp(2j * math.pi * ((j * p) % q) / q), (j + a) / q
-
-
-def _twist_sum(
-    s: complex, a: float, fr: Fraction, prec: Precision, first: int = 0
-) -> Tuple[complex, float]:
-    """q^(-s) sum_j e(j p/q) zeta_H(s, (j + a)/q), j = first..first+q-1, and its `_sum_err`:
-    zeta_L(s, a, p/q) at first = 0 and F(p/q, s) at a = 0, first = 1.  The q rows take one
-    `_hurwitz_rows` call; at q = 1 it is the Hurwitz value, up to the sign of a zero part."""
-    roots, shifts = zip(*_twist_terms(a, fr, first))
-    vals, errs = _hurwitz_rows([(s.real, b) for b in shifts], np.array([s.imag]), prec)
-    scale = cmath.exp(-s * math.log(fr.denominator))
-    total, err = _sum_err(list(zip(roots, vals[:, 0].tolist(), errs[:, 1].tolist())), abs(scale))
-    return scale * total, err
+    return [((j + a) / q, [(0, cmath.exp(2j * math.pi * ((j * p) % q) / q))])
+            for j in range(first, first + q)]
 
 
 def lerch_zeta_bounded(
@@ -702,9 +716,9 @@ def lerch_zeta_bounded(
 ) -> Tuple[complex, float]:
     """zeta_L(s, a, lambda) with its absolute err.
 
-    Rational lambda, integers too: exact q-fold Hurwitz reduction (`_twist_sum`)
-    on hurwitz_zeta's domain (0 < a <= 1e4, -10 <= Re s <= 10, |Im s| <= 1e5;
-    DomainError outside).  Other lambda: direct series, needs Re s > 1; raises
+    Rational lambda, integers too: exact q-fold Hurwitz reduction (`_twist_groups`),
+    gated like hurwitz_zeta, on its domain (0 < a <= 1e4, -10 <= Re s <= 10,
+    |Im s| <= 1e5; DomainError outside).  Other lambda: direct series, needs Re s > 1; raises
     UnsupportedRegionError otherwise and AccuracyError when the Abel tail
     bound, its err, cannot reach the tolerance within ``_LERCH_MAX_TERMS``.
     """
@@ -715,7 +729,7 @@ def lerch_zeta_bounded(
     if fr is None:
         return _lerch_direct(s, a, float(lam), prec)
     _check_hurwitz_domain("lerch_zeta with rational lambda", s, a)
-    return _twist_sum(s, a, fr, prec)
+    return _hurwitz_combination("lerch_zeta", s, fr.denominator, _twist_groups(a, fr), prec)
 
 
 def lerch_line(
@@ -734,7 +748,7 @@ def lerch_line(
         )
     ts = np.asarray(ts, dtype=float)
     total = np.zeros(ts.size, dtype=complex)
-    for root, shifted in _twist_terms(a, fr):
+    for shifted, ((_, root),) in _twist_groups(a, fr):
         total += root * hurwitz_line(sigma, shifted, ts, prec)
     # q^(-s) = q^(-sigma) e^(-i t log q)
     q = fr.denominator
@@ -764,7 +778,7 @@ def _lerch_direct(
     where D is the backward difference.  The dropped T_L obeys the exact
     mean-value bound |D^L g(m)| <= |s|(|s|+1)...(|s|+L-1) (m-L+a)^(-sigma-L).
     """
-    sigma = s.real
+    sigma, a = s.real, float(a)
     if sigma <= 1.0 + 1e-3:
         raise UnsupportedRegionError(
             "lerch_zeta: direct series for non-rational lambda needs Re s > 1"
@@ -830,7 +844,8 @@ def periodic_zeta(
     """Periodic zeta F(x, s) = sum_{m>=1} e^(2*pi*i*m*x) m^(-s).
 
     Rational x uses the exact reduction q^(-s) sum_{j=1}^{q} e(j p/q) zeta_H(s, j/q)
-    on hurwitz_zeta's domain in s (DomainError outside); other x needs Re s > 1.
+    on hurwitz_zeta's domain in s (DomainError outside), gated like it; other x
+    needs Re s > 1.
     """
     s = complex(s)
     if _rational_twist(x) is not None:
@@ -839,11 +854,13 @@ def periodic_zeta(
 
 
 def _periodic(x: LambdaLike, s: complex, prec: Precision) -> Tuple[complex, float]:
-    """F(x, s) with its err: the q-fold `_twist_sum` at rational x, otherwise
+    """F(x, s) with its err: the q-fold `_twist_groups` at rational x, otherwise
     e(x) times the direct series at a = 1 (Re s > 1)."""
     fr = _rational_twist(x)
     if fr is not None:
-        return _twist_sum(s, 0.0, fr, prec, first=1)
+        return _hurwitz_combination(
+            "periodic_zeta", s, fr.denominator, _twist_groups(0.0, fr, first=1), prec
+        )
     xf = float(x)
     val, err = _lerch_direct(s, 1.0, xf, prec)
     return cmath.exp(2j * math.pi * (xf - math.floor(xf))) * val, err
@@ -889,7 +906,7 @@ def functional_equation_residual(
         )
 
     if lam_frac == 0:
-        lhs = _hurwitz_scalar(1.0 - s, a_val, prec)[0]
+        lhs = _hurwitz_combination("hurwitz_zeta", 1.0 - s, 1, [(a_val, [(0, 1.0)])], prec)[0]
         rhs = _hurwitz_reflected(1.0 - s, a if a_is_rat else a_val, prec)[0]
     else:
         log_pref = _lgamma_right(s) - s * math.log(2.0 * math.pi)

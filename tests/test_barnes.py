@@ -392,8 +392,8 @@ def test_direct_takes_the_cheaper_path(monkeypatch, w, s, combination):
 
 def test_a_commensurate_value_is_one_kernel_call(monkeypatch):
     calls = []
-    rows = bz._hurwitz_rows
-    monkeypatch.setattr(bz, "_hurwitz_rows",
+    rows = zc._hurwitz_rows
+    monkeypatch.setattr(zc, "_hurwitz_rows",
                         lambda *args, **kwargs: calls.append(len(args[0])) or rows(*args, **kwargs))
     bz.barnes_direct(3.5 + 10j, 1.0, (2.0, 3.0, 5.0))
     # L = lcm(2, 3, 5) = 30 residues, at most r = 3 rows each
@@ -409,7 +409,7 @@ def test_atoms_count_the_hurwitz_values_of_the_recursion(monkeypatch, w, s):
     # the budget is checked on the count alone, so the count must be the rows
     # that the one kernel call then evaluates
     walks, calls = [], []
-    recursion, rows = bz._recursion_terms, bz._hurwitz_rows
+    recursion, rows = bz._recursion_terms, zc._hurwitz_rows
 
     def spy_recursion(*args):
         walks.append(0)
@@ -418,7 +418,7 @@ def test_atoms_count_the_hurwitz_values_of_the_recursion(monkeypatch, w, s):
             yield group
 
     monkeypatch.setattr(bz, "_recursion_terms", spy_recursion)
-    monkeypatch.setattr(bz, "_hurwitz_rows",
+    monkeypatch.setattr(zc, "_hurwitz_rows",
                         lambda *args: calls.append(len(args[0])) or rows(*args))
     bz.barnes_direct(s, 0.9, w)
     assert len(calls) == 1 and walks == [calls[0], calls[0]] and calls[0] > 0
@@ -426,14 +426,14 @@ def test_atoms_count_the_hurwitz_values_of_the_recursion(monkeypatch, w, s):
 
 def test_direct_over_budget_raises_before_any_value(monkeypatch):
     evaluated = []
-    rows = bz._hurwitz_rows
+    rows = zc._hurwitz_rows
 
     def spy_rows(*args):
         evaluated.append("rows")
         return rows(*args)
 
     monkeypatch.setattr(bz, "_ATOM_BUDGET", 1000)
-    monkeypatch.setattr(bz, "_hurwitz_rows", spy_rows)
+    monkeypatch.setattr(zc, "_hurwitz_rows", spy_rows)
     with pytest.raises(ResourceBudgetError):
         bz.barnes_direct(3.5 + 10j, 1.0, (1.0, math.sqrt(2.0), math.sqrt(3.0)))
     assert evaluated == []

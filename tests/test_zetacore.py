@@ -20,7 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetaline import zetacore as zc
-from zetaline.barnes import barnes_truncated_line, multi_hurwitz_line
+from zetaline.barnes import (
+    barnes_truncated,
+    barnes_truncated_line,
+    multi_hurwitz_bounded,
+    multi_hurwitz_line,
+)
 from zetaline.errors import (
     AccuracyError,
     DomainError,
@@ -28,7 +33,12 @@ from zetaline.errors import (
     ResourceBudgetError,
     UnsupportedRegionError,
 )
-from zetaline.meanvalue import MeanSquareRequest, mean_square, simpson_nodes
+from zetaline.meanvalue import (
+    MeanSquareRequest,
+    mean_square,
+    predict_multi_mean_square,
+    simpson_nodes,
+)
 
 EULER = 0.57721566490153286
 
@@ -161,6 +171,61 @@ def test_a_lerch_value_is_one_kernel_call(monkeypatch):
                         lambda *args, **kwargs: calls.append(len(args[0])) or rows(*args, **kwargs))
     zc.lerch_zeta_bounded(complex(0.5, 20.0), 0.3, Fraction(3, 8))
     assert calls == [8]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        lambda: zc.lerch_zeta_bounded(complex(0.5, 20.0), 0.3, Fraction(3, 8)),
+        lambda: zc.lerch_zeta_bounded(complex(0.5, 20.0), 0.3, 1),
+        lambda: zc.periodic_zeta(Fraction(1, 3), complex(2.5, 1.0)),
+        lambda: zc.hurwitz_zeta_bounded(complex(0.5, 20.0), 0.3),
+    ],
+    ids=["lerch", "lerch_integer", "periodic", "hurwitz"],
+)
+def test_folded_values_are_gated_like_hurwitz_values(monkeypatch, value):
+    # every value reduced to Hurwitz values goes through the one evaluator and its gate
+    rows = zc._hurwitz_rows
+
+    def inaccurate(*args, **kwargs):
+        vals, errs = rows(*args, **kwargs)
+        errs[:, 0] = 1.0
+        return vals, errs
+
+    monkeypatch.setattr(zc, "_hurwitz_rows", inaccurate)
+    with pytest.raises(AccuracyError):
+        value()
+
+
+_TS = np.array([1.0, 20.0])
+
+
+@pytest.mark.parametrize(
+    "call, converted",
+    [
+        (lambda a: zc.hurwitz_zeta_bounded(complex(0.5, 20.0), a)[0], True),
+        (lambda a: zc.hurwitz_line(0.5, a, _TS), True),
+        # the shifts (j + a)/q are formed exactly before they are converted
+        (lambda a: zc.lerch_zeta_bounded(complex(0.5, 20.0), a, Fraction(1, 3))[0], False),
+        (lambda a: zc.lerch_zeta_bounded(complex(2.5, 20.0), a, 0.3)[0], True),
+        (lambda a: zc.lerch_line(0.5, a, Fraction(1, 3), _TS, zc.DEFAULT_PRECISION), False),
+        # the reduction coefficients are exact in a, then rounded once
+        (lambda a: multi_hurwitz_bounded(complex(2.5, 20.0), a, 2)[0], False),
+        (lambda a: multi_hurwitz_line(2.5, a, 2, _TS), False),
+        (lambda a: barnes_truncated(complex(1.5, 20.0), a, (1.0, 2.0), 20.0)[0], True),
+        (lambda a: [c for c, _, _ in predict_multi_mean_square(2, 1.25, a).terms], False),
+        (lambda a: mean_square(MeanSquareRequest("hurwitz", 0.5, a, 10.0)).value, True),
+    ],
+    ids=["hurwitz_zeta_bounded", "hurwitz_line", "lerch_rational", "lerch_direct", "lerch_line",
+         "multi_hurwitz_bounded", "multi_hurwitz_line", "barnes_truncated",
+         "predict_multi_mean_square", "mean_square"],
+)
+def test_a_fraction_shift_is_its_float(call, converted):
+    got = np.atleast_1d(np.asarray(call(Fraction(1, 3)), dtype=complex))
+    want = np.atleast_1d(np.asarray(call(1.0 / 3.0), dtype=complex))
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    if converted:
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
